@@ -14,14 +14,6 @@ Two modes, one differential core:
   is the differential correctness harness: the index path may only ever
   change *how* rows are found, never *which* rows come back.
 
-``--backend`` selects the KB engine under test: ``memory`` (the
-default in-memory executor), ``sqlite`` (the stdlib-``sqlite3`` lowering
-backend), or ``both`` — which additionally runs the **cross-backend
-differential** (every template must return byte-identical, type-strict
-result sets on both engines) and emits both engines' latencies side by
-side in one JSON artifact.  ``REPRO_KB_BACKEND=sqlite`` selects the
-sqlite engine without a flag (the CI matrix leg uses this).
-
 Either mode can emit a JSON report via ``--json PATH`` for the CI
 artifact upload.
 
@@ -29,21 +21,18 @@ Run from the repo root::
 
     PYTHONPATH=src python benchmarks/bench_executor.py --smoke --json out.json
     PYTHONPATH=src python benchmarks/bench_executor.py --repeats 300
-    PYTHONPATH=src python benchmarks/bench_executor.py --backend both --smoke
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import sys
 import time
 from typing import Any
 
 from repro.errors import NLQError, TemplateError
-from repro.kb.backend import BACKEND_ENV_VAR, wrap_database
 from repro.medical import build_mdx_database, build_mdx_ontology, build_mdx_space
 from repro.nlq.templates import StructuredQueryTemplate, templates_for_intent
 
@@ -128,61 +117,6 @@ def differential_check(
     }
 
 
-def typed_rows(result: Any) -> list[tuple[tuple[str, Any], ...]]:
-    """Rows with value types made explicit, for byte-identity comparison."""
-    return [
-        tuple((type(value).__name__, value) for value in row)
-        for row in result.rows
-    ]
-
-
-def cross_backend_check(
-    reference: Any,
-    candidate: Any,
-    templates: list[StructuredQueryTemplate],
-    bindings: dict[str, str],
-) -> dict[str, Any]:
-    """Every template must be byte-identical across the two engines.
-
-    Comparison is type-strict — ``1`` (int) vs ``1.0`` (float) vs
-    ``True`` (bool) are mismatches even though they compare equal — so
-    SQLite affinity coercions cannot hide behind ``==``.
-    """
-    checked = 0
-    skipped: list[str] = []
-    mismatches: list[dict[str, str]] = []
-    for template in templates:
-        concept_values = template_bindings(template, bindings)
-        if concept_values is None:
-            skipped.append(template.sql)
-            continue
-        params = template.instantiate(concept_values)
-        expected = reference.prepare(template.sql).execute(params)
-        actual = candidate.prepare(template.sql).execute(params)
-        checked += 1
-        if (
-            expected.columns != actual.columns
-            or typed_rows(expected) != typed_rows(actual)
-        ):
-            mismatches.append(
-                {
-                    "sql": template.sql,
-                    "reference_rows": repr(expected.rows[:5]),
-                    "candidate_rows": repr(actual.rows[:5]),
-                }
-            )
-    report: dict[str, Any] = {
-        "templates": len(templates),
-        "checked": checked,
-        "skipped": skipped,
-        "mismatches": mismatches,
-    }
-    paths = getattr(candidate, "execution_paths", None)
-    if paths is not None:
-        report["candidate_execution_paths"] = paths()
-    return report
-
-
 def median_seconds(plan: Any, params: dict[str, Any], repeats: int) -> float:
     samples = []
     for _ in range(repeats):
@@ -260,96 +194,38 @@ def main(argv: list[str] | None = None) -> int:
         "--repeats", type=int, default=200,
         help="timed executions per case (timing mode)",
     )
-    parser.add_argument(
-        "--backend", choices=("memory", "sqlite", "both"),
-        default=os.environ.get(BACKEND_ENV_VAR, "").strip() or "memory",
-        help="KB engine under test; 'both' adds the cross-backend "
-             "differential and a side-by-side latency comparison "
-             f"(default: ${BACKEND_ENV_VAR} or memory)",
-    )
     args = parser.parse_args(argv)
 
     database, templates, bindings = build_corpus()
-    engines: dict[str, Any] = {}
-    if args.backend in ("memory", "both"):
-        engines["memory"] = database
-    if args.backend in ("sqlite", "both"):
-        engines["sqlite"] = wrap_database(database, "sqlite")
     report: dict[str, Any] = {
         "benchmark": "executor",
         "mode": "smoke" if args.smoke else "timing",
-        "backend": args.backend,
         "drug_rows": len(database.table("drug")),
     }
 
-    # Both modes run the differential check on every selected engine:
-    # timing numbers for a path that returns different rows would be
-    # meaningless.
-    ok = True
-    report["differential"] = {}
-    for name, engine in engines.items():
-        diff = differential_check(engine, templates, bindings)
-        report["differential"][name] = diff
-        ok = ok and not diff["mismatches"] and diff["checked"] > 0
-        print(f"[{name}] templates: {diff['templates']}  "
-              f"checked: {diff['checked']}  skipped: {len(diff['skipped'])}  "
-              f"mismatches: {len(diff['mismatches'])}")
-        for mismatch in diff["mismatches"]:
-            print(f"[{name}] MISMATCH: {mismatch['sql']}")
+    # Both modes run the differential check: timing numbers for a path
+    # that returns different rows would be meaningless.
+    diff = differential_check(database, templates, bindings)
+    report["differential"] = diff
+    ok = not diff["mismatches"] and diff["checked"] > 0
 
-    if args.backend == "both":
-        cross = cross_backend_check(
-            database, engines["sqlite"], templates, bindings
-        )
-        report["cross_backend"] = cross
-        ok = ok and not cross["mismatches"] and cross["checked"] > 0
-        paths = cross.get("candidate_execution_paths", {})
-        print(f"[cross] checked: {cross['checked']}  "
-              f"mismatches: {len(cross['mismatches'])}  "
-              f"sqlite paths: {paths}")
-        for mismatch in cross["mismatches"]:
-            print(f"[cross] MISMATCH: {mismatch['sql']}")
+    print(f"templates: {diff['templates']}  checked: {diff['checked']}  "
+          f"skipped: {len(diff['skipped'])}  mismatches: {len(diff['mismatches'])}")
+    for mismatch in diff["mismatches"]:
+        print(f"MISMATCH: {mismatch['sql']}")
 
     if not args.smoke:
-        report["timing"] = {}
-        for name, engine in engines.items():
-            timing = timing_run(engine, templates, bindings, args.repeats)
-            report["timing"][name] = timing
-            for case in timing["cases"]:
-                gate = (
-                    " [gate >=5x]"
-                    if case["gated"] and name == "memory"
-                    else ""
-                )
-                print(f"[{name}] {case['case']}: "
-                      f"scan {case['scan_median_us']}us  "
-                      f"indexed {case['indexed_median_us']}us  "
-                      f"speedup {case['speedup']}x{gate}")
-            # The index-speedup gate is a property of the in-memory
-            # engine's secondary indexes; SQLite plans the same SQL on
-            # both settings, so its ratio hovers around 1x by design.
-            if name != "memory":
-                continue
-            gated = [c for c in timing["cases"] if c["gated"]]
-            if any(c["speedup"] < SPEEDUP_FLOOR for c in gated):
-                print(f"FAIL: gated speedup below {SPEEDUP_FLOOR}x")
-                ok = False
-        if args.backend == "both":
-            comparison = []
-            for memory_case, sqlite_case in zip(
-                report["timing"]["memory"]["cases"],
-                report["timing"]["sqlite"]["cases"],
-            ):
-                comparison.append({
-                    "case": memory_case["case"],
-                    "memory_indexed_us": memory_case["indexed_median_us"],
-                    "sqlite_indexed_us": sqlite_case["indexed_median_us"],
-                })
-            report["timing"]["comparison"] = comparison
-            for row in comparison:
-                print(f"[compare] {row['case']}: "
-                      f"memory {row['memory_indexed_us']}us vs "
-                      f"sqlite {row['sqlite_indexed_us']}us")
+        timing = timing_run(database, templates, bindings, args.repeats)
+        report["timing"] = timing
+        for case in timing["cases"]:
+            gate = " [gate >=5x]" if case["gated"] else ""
+            print(f"{case['case']}: scan {case['scan_median_us']}us  "
+                  f"indexed {case['indexed_median_us']}us  "
+                  f"speedup {case['speedup']}x{gate}")
+        gated = [c for c in timing["cases"] if c["gated"]]
+        if any(c["speedup"] < SPEEDUP_FLOOR for c in gated):
+            print(f"FAIL: gated speedup below {SPEEDUP_FLOOR}x")
+            ok = False
 
     report["ok"] = ok
     if args.json:

@@ -78,48 +78,26 @@ def _report(
     return 1 if error_count(active, strict=args.strict) else 0
 
 
-def _select_backend(args: argparse.Namespace, database):
-    """Honour ``--backend``: validate against a pluggable KB backend.
-
-    ``sqlite:<path>`` opens an already-materialised file (``repro export
-    --sqlite``) so the audit sees exactly what a sqlite-backed server
-    would serve; bare ``sqlite`` round-trips the freshly built database
-    through an in-memory SQLite; ``memory``/unset keeps the in-memory
-    engine.
-    """
-    spec = getattr(args, "backend", None)
-    if not spec or spec == "memory":
-        return database
-    from repro.errors import KBError
-    from repro.kb.backend import (
-        open_backend,
-        parse_backend_spec,
-        wrap_database,
-    )
-
-    try:
-        kind, path = parse_backend_spec(spec)
-        if kind == "sqlite" and path is not None:
-            return open_backend(spec)
-        return wrap_database(database, spec)
-    except KBError as exc:
-        raise SystemExit(f"--backend: {exc}") from exc
-
-
 def _build_space(args: argparse.Namespace):
     """The space under check: exported artifacts, or the shipped MDX."""
     if args.space:
         if not args.data:
-            raise SystemExit("--space requires --data (the CSV KB directory)")
+            raise SystemExit(
+                "--space requires --data (a CSV KB directory or a kb.db file)"
+            )
         from repro.bootstrap import space_from_dict
+        from repro.errors import KBError
         from repro.kb.io import load_database
 
-        database = load_database(args.data)
+        try:
+            database = load_database(args.data)
+        except KBError as exc:
+            raise SystemExit(f"--data: {exc}") from exc
         space = space_from_dict(
             json.loads(Path(args.space).read_text(encoding="utf-8")),
             database=database,
         )
-        return space, _select_backend(args, database)
+        return space, database
     from repro.medical import build_mdx_database, build_mdx_space
     from repro.medical.build import rename_to_paper_intents
 
@@ -127,7 +105,7 @@ def _build_space(args: argparse.Namespace):
     space = build_mdx_space(database)
     # Mirror what `repro serve` ships: the paper's intent names.
     rename_to_paper_intents(space)
-    return space, _select_backend(args, database)
+    return space, database
 
 
 def _ambiguity_config(args: argparse.Namespace) -> AmbiguityConfig:
@@ -336,11 +314,6 @@ def add_audit_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="COSINE",
         help="A002 cross-intent near-duplicate cosine threshold "
         "(default: 0.9)",
-    )
-    parser.add_argument(
-        "--backend", default=None,
-        help="KB backend to validate against: 'memory' (default), "
-        "'sqlite', or 'sqlite:<path>' (an exported kb.db)",
     )
 
 

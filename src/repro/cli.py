@@ -4,8 +4,8 @@ Commands
 --------
 ``chat``
     Interactive session with Conversational MDX, or with an agent built
-    from an exported conversation space (``--space``) and a CSV knowledge
-    base (``--data``).
+    from an exported conversation space (``--space``) and a knowledge
+    base (``--data``: a CSV directory or an SQLite ``kb.db`` file).
 ``demo``
     Replay the paper's §6.3 sample conversations.
 ``simulate``
@@ -13,8 +13,8 @@ Commands
     11 / Figure 12 reports.
 ``export``
     Build Conversational MDX and write its artifacts to a directory:
-    conversation space JSON, ontology as OWL, knowledge base as CSVs,
-    and the dialogue logic table.
+    conversation space JSON, ontology as OWL, knowledge base as CSVs
+    (``--sqlite`` adds a ``kb.db`` file), and the dialogue logic table.
 ``serve``
     Run the concurrent JSON-over-HTTP conversation server
     (``POST /chat``, ``POST /feedback``, ``GET /healthz``,
@@ -73,80 +73,56 @@ from typing import Callable
 
 from repro.bootstrap import space_from_dict, space_to_dict
 from repro.engine import ConversationAgent
-from repro.errors import KBError
-from repro.kb.backend import (
-    backend_spec_from_env,
-    parse_backend_spec,
-    wrap_database,
-)
-from repro.kb.io import load_database, save_database
+from repro.kb.backend import KBSnapshot
+from repro.kb.io import load_database, save_database, save_sqlite
 from repro.medical import build_mdx_agent, build_mdx_database, build_mdx_space
 from repro.medical.build import rename_to_paper_intents
 from repro.medical.knowledge import mdx_glossary
 from repro.ontology import ontology_to_owl
 
 
-def _backend_spec(args: argparse.Namespace) -> str:
-    """The KB backend spec: ``--kb-backend`` wins over REPRO_KB_BACKEND."""
-    spec = getattr(args, "kb_backend", None) or backend_spec_from_env()
-    try:
-        parse_backend_spec(spec)  # fail fast on typos, before the build
-    except KBError as exc:
-        raise SystemExit(str(exc)) from exc
-    return spec
-
-
 def _load_database(args: argparse.Namespace):
-    """The raw in-memory database the agent's backend is built from."""
+    """The in-memory database the agent serves: ``--data`` or the MDX build."""
     if args.space:
         if not args.data:
-            raise SystemExit("--space requires --data (the CSV KB directory)")
+            raise SystemExit(
+                "--space requires --data (a CSV KB directory or a kb.db file)"
+            )
         return load_database(args.data)
     return build_mdx_database()
 
 
 def _build_agent(args: argparse.Namespace) -> ConversationAgent:
-    spec = _backend_spec(args)
     database = _load_database(args)
-    backend = wrap_database(database, spec)
     if args.space:
         space = space_from_dict(
             json.loads(Path(args.space).read_text(encoding="utf-8")),
             database=database,
         )
         return ConversationAgent.build(
-            space, backend, agent_name=args.name, domain=args.domain
+            space, KBSnapshot(database), agent_name=args.name, domain=args.domain
         )
-    # The space is bootstrapped from the raw in-memory database (ontology
+    # The space is bootstrapped from the raw database (ontology
     # generation samples column statistics); the agent then serves every
-    # query through the selected backend.
+    # query through a frozen snapshot of it.
     space = build_mdx_space(database)
     rename_to_paper_intents(space)
     return ConversationAgent.build(
         space,
-        backend,
+        KBSnapshot(database),
         glossary=mdx_glossary(),
         agent_name="Micromedex",
         domain="drug reference",
     )
 
 
-def _kb_builder(args: argparse.Namespace) -> Callable[[], object]:
+def _kb_builder(args: argparse.Namespace) -> Callable[[], KBSnapshot]:
     """The zero-argument snapshot builder ``POST /refresh`` invokes.
 
-    Re-runs the same KB load the server booted with (CSV directory or
-    the synthetic MDX build) and wraps it for the configured backend.
-    A refreshed SQLite snapshot always lands in ``:memory:`` — the old
-    backend may still be serving in-flight plans from the previous file,
-    so the builder never overwrites a path out from under it.
+    Reloads ``--data`` (a CSV directory or a kb.db file; the synthetic
+    MDX build without ``--space``) and wraps it in a :class:`KBSnapshot`.
     """
-    kind, _path = parse_backend_spec(_backend_spec(args))
-
-    def build() -> object:
-        database = _load_database(args)
-        return wrap_database(database, "sqlite" if kind == "sqlite" else "memory")
-
-    return build
+    return lambda: KBSnapshot(_load_database(args))
 
 
 def cmd_chat(
@@ -268,10 +244,7 @@ def cmd_export(args: argparse.Namespace, output_fn=print) -> int:
     )
     extras = ""
     if getattr(args, "sqlite", False):
-        backend = wrap_database(database, f"sqlite:{out / 'kb.db'}")
-        close = getattr(backend, "close", None)
-        if close is not None:
-            close()
+        save_sqlite(database, out / "kb.db")
         extras = "  kb.db"
     output_fn(f"Artifacts written to {out}/")
     output_fn("  conversation_space.json  ontology.owl  kb/  "
@@ -471,13 +444,6 @@ def _serve_router(args: argparse.Namespace, output_fn, run_forever) -> int:
         worker_args += ["--space", args.space]
     if args.data:
         worker_args += ["--data", args.data]
-    if args.kb_backend:
-        # Workers each materialise their own replica; a shared sqlite
-        # *file* path would have N processes clobbering one database, so
-        # only the backend kind is forwarded (sqlite replicas stay
-        # per-worker, in :memory:).
-        kind, _path = parse_backend_spec(args.kb_backend)
-        worker_args += ["--kb-backend", kind]
     worker_args += [
         "--name", args.name,
         "--domain", args.domain,
@@ -606,15 +572,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     chat = sub.add_parser("chat", help="interactive conversation")
     chat.add_argument("--space", help="exported conversation-space JSON")
-    chat.add_argument("--data", help="CSV knowledge-base directory")
+    chat.add_argument("--data",
+                      help="knowledge base: a CSV directory or a kb.db file")
     chat.add_argument("--name", default="Assistant", help="agent name")
     chat.add_argument("--domain", default="knowledge base", help="domain label")
     chat.add_argument("--trace", action="store_true",
                       help="print the per-stage pipeline trace after each turn")
-    chat.add_argument("--kb-backend", default=None,
-                      help="KB backend: 'memory' (default), 'sqlite', or "
-                           "'sqlite:<path>'; REPRO_KB_BACKEND sets the "
-                           "default")
     chat.set_defaults(handler=cmd_chat)
 
     demo = sub.add_parser("demo", help="replay the paper's §6.3 conversations")
@@ -628,20 +591,17 @@ def build_parser() -> argparse.ArgumentParser:
     export = sub.add_parser("export", help="write the MDX artifacts")
     export.add_argument("--out", default="mdx-artifacts")
     export.add_argument("--sqlite", action="store_true",
-                        help="also materialise the KB as a SQLite file "
-                             "(kb.db), usable with --kb-backend "
-                             "sqlite:<path> and check/audit --backend")
+                        help="also write the KB as an SQLite file (kb.db), "
+                             "usable as --data for chat, serve, check and "
+                             "audit")
     export.set_defaults(handler=cmd_export)
 
     serve = sub.add_parser("serve", help="run the HTTP conversation server")
     serve.add_argument("--space", help="exported conversation-space JSON")
-    serve.add_argument("--data", help="CSV knowledge-base directory")
+    serve.add_argument("--data",
+                       help="knowledge base: a CSV directory or a kb.db file")
     serve.add_argument("--name", default="Assistant", help="agent name")
     serve.add_argument("--domain", default="knowledge base", help="domain label")
-    serve.add_argument("--kb-backend", default=None,
-                       help="KB backend: 'memory' (default), 'sqlite', or "
-                            "'sqlite:<path>'; REPRO_KB_BACKEND sets the "
-                            "default")
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument("--port", type=int, default=8080,
                        help="bind port (0 picks a free one)")
@@ -723,7 +683,8 @@ def build_parser() -> argparse.ArgumentParser:
         "check", help="statically validate the conversation space"
     )
     check.add_argument("--space", help="exported conversation-space JSON")
-    check.add_argument("--data", help="CSV knowledge-base directory")
+    check.add_argument("--data",
+                       help="knowledge base: a CSV directory or a kb.db file")
     check.add_argument("--deep", action="store_true",
                        help="also run the semantic audit (T/A codes)")
     add_analysis_arguments(check)
@@ -768,7 +729,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="semantic audit: SQL type/dataflow (T) + NL ambiguity (A)",
     )
     audit.add_argument("--space", help="exported conversation-space JSON")
-    audit.add_argument("--data", help="CSV knowledge-base directory")
+    audit.add_argument("--data",
+                       help="knowledge base: a CSV directory or a kb.db file")
     add_analysis_arguments(audit)
     add_audit_arguments(audit)
     audit.set_defaults(handler=cmd_audit)
@@ -779,7 +741,8 @@ def build_parser() -> argparse.ArgumentParser:
     baseline.add_argument("--update", action="store_true",
                           help="regenerate the baseline from current findings")
     baseline.add_argument("--space", help="exported conversation-space JSON")
-    baseline.add_argument("--data", help="CSV knowledge-base directory")
+    baseline.add_argument("--data",
+                          help="knowledge base: a CSV directory or a kb.db file")
     add_analysis_arguments(baseline)
     add_audit_arguments(baseline)
     baseline.set_defaults(handler=cmd_baseline)

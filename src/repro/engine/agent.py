@@ -45,7 +45,8 @@ from repro.engine.stages import (
     default_stages,
 )
 from repro.errors import EngineError, KBError, NLQError, TemplateError
-from repro.kb.backend import KBBackend, KBHandle
+from repro.kb.backend import KBHandle, KBSnapshot
+from repro.kb.database import Database
 from repro.nlp.classifier import IntentClassifier
 from repro.nlq.templates import StructuredQueryTemplate, templates_for_intent
 
@@ -115,7 +116,7 @@ class ConversationAgent:
     def __init__(
         self,
         space: ConversationSpace,
-        database: "KBBackend",
+        database: "Database | KBSnapshot | KBHandle",
         classifier: IntentClassifier,
         recognizer: EntityRecognizer,
         tree: DialogueTree,
@@ -128,7 +129,7 @@ class ConversationAgent:
     ) -> None:
         self.space = space
         # Every KB access goes through a copy-on-write handle so a live
-        # refresh can atomically swap the backend under running turns.
+        # refresh can atomically swap the snapshot under running turns.
         self.database = (
             database if isinstance(database, KBHandle) else KBHandle(database)
         )
@@ -155,7 +156,7 @@ class ConversationAgent:
     def build(
         cls,
         space: ConversationSpace,
-        database: "KBBackend",
+        database: "Database | KBSnapshot | KBHandle",
         glossary: dict[str, str] | None = None,
         agent_name: str = "Assistant",
         domain: str = "knowledge base",

@@ -1,4 +1,4 @@
-"""Relational knowledge-base engine with pluggable backends.
+"""Relational knowledge-base engine.
 
 This package is the storage substrate of the reproduction: the paper keeps
 its medical KB in Db2-on-Cloud and answers every intent by executing a
@@ -12,25 +12,16 @@ structured (SQL) query template against it.  We provide the equivalent:
   bootstrapping process (categorical-attribute detection),
 * :mod:`repro.kb.sql` — a SQL subset (lexer, parser, executor) sufficient
   for the paper's SELECT/JOIN/WHERE query templates,
-* :mod:`repro.kb.backend` — the :class:`KBBackend` protocol every layer
-  above the KB speaks, plus the copy-on-write :class:`KBHandle` that
-  swaps generation-tagged snapshots under live traffic,
-* :mod:`repro.kb.sqlite_backend` — a stdlib-``sqlite3`` backend lowering
-  the parsed SQL AST to real SQL with an in-memory fallback path.
+* :mod:`repro.kb.backend` — immutable :class:`KBSnapshot` views and the
+  copy-on-write :class:`KBHandle` that swaps generation-tagged
+  snapshots under live traffic,
+* :mod:`repro.kb.io` — import/export as a CSV directory or an SQLite
+  ``kb.db`` file; both load back into a :class:`Database`.
 """
 
-from repro.kb.backend import (
-    KBBackend,
-    KBHandle,
-    KBSnapshot,
-    backend_spec_from_env,
-    open_backend,
-    parse_backend_spec,
-    wrap_database,
-)
+from repro.kb.backend import KBHandle, KBSnapshot, wrap_database
 from repro.kb.database import Database
 from repro.kb.schema import Column, ForeignKey, TableSchema
-from repro.kb.sqlite_backend import SQLiteBackend
 from repro.kb.statistics import ColumnStatistics, TableStatistics
 from repro.kb.table import Table
 from repro.kb.types import DataType
@@ -42,16 +33,11 @@ __all__ = [
     "DataType",
     "Database",
     "ForeignKey",
-    "KBBackend",
     "KBHandle",
     "KBSnapshot",
     "ResultSet",
-    "SQLiteBackend",
     "Table",
     "TableSchema",
     "TableStatistics",
-    "backend_spec_from_env",
-    "open_backend",
-    "parse_backend_spec",
     "wrap_database",
 ]

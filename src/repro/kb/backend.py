@@ -1,21 +1,17 @@
-"""Pluggable KB backend seam: protocol, immutable snapshots, swap handle.
+"""Immutable KB snapshots and the copy-on-write swap handle.
 
-Every layer above the KB (planner consumers, template execution, the
-query cache, serving, persistence workers, the analysis toolchain)
-speaks :class:`KBBackend` instead of the concrete in-memory
-:class:`~repro.kb.database.Database`.  Two implementations ship:
-
-* the existing in-memory engine (``Database`` itself satisfies the
-  protocol; :class:`KBSnapshot` freezes one into an immutable view), and
-* :class:`~repro.kb.sqlite_backend.SQLiteBackend`, which lowers parsed
-  SQL to real SQLite where the dialect allows and falls back to the
-  in-memory executor where it does not.
+Every layer above the KB (template execution, the query cache, serving,
+persistence workers, the analysis toolchain) reads the in-memory
+:class:`~repro.kb.database.Database` through a :class:`KBHandle`.
+:class:`KBSnapshot` freezes a fully built database into an immutable
+view; a KB loaded from a CSV directory or an exported ``kb.db``
+(:func:`repro.kb.io.load_database`) is wrapped the same way.
 
 :class:`KBHandle` is the copy-on-write indirection that makes
 zero-downtime refresh possible: the serving layer holds one handle for
 the lifetime of the process, and ``refresh`` atomically swaps the
-backend underneath it.  In-flight plans keep executing against the old
-snapshot (they captured the backend object before the swap); new turns
+snapshot underneath it.  In-flight plans keep executing against the old
+snapshot (they captured the snapshot object before the swap); new turns
 observe the new one.  The handle's ``generation`` is *epoch-scaled* so
 the existing generation-tagged caches (plan cache, query cache)
 invalidate across swaps even when the new snapshot's own counters are
@@ -24,8 +20,7 @@ numerically smaller than the old one's.
 
 from __future__ import annotations
 
-import os
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from repro.errors import KBError
 
@@ -36,18 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kb.statistics import TableStatistics
     from repro.kb.table import Table
 
-__all__ = [
-    "KBBackend",
-    "KBHandle",
-    "KBSnapshot",
-    "backend_spec_from_env",
-    "open_backend",
-    "parse_backend_spec",
-    "wrap_database",
-]
-
-#: Environment variable selecting the KB backend for CLI entry points.
-BACKEND_ENV_VAR = "REPRO_KB_BACKEND"
+__all__ = ["KBHandle", "KBSnapshot", "wrap_database"]
 
 #: Multiplier applied to the handle epoch when deriving generations.  A
 #: fresh snapshot restarts its local generation counters near zero, so a
@@ -55,56 +39,6 @@ BACKEND_ENV_VAR = "REPRO_KB_BACKEND"
 #: cache entry validate.  Scaling by a stride far above any realistic
 #: local counter makes every swap strictly monotonic.
 EPOCH_STRIDE = 10**12
-
-
-@runtime_checkable
-class KBBackend(Protocol):
-    """What the rest of the system is allowed to ask of a KB.
-
-    ``Database`` satisfies this structurally; so do :class:`KBSnapshot`,
-    :class:`KBHandle` and the SQLite backend.  The protocol is
-    deliberately read-only — mutation (``insert``/``create_table``) is a
-    construction-time concern, not part of the serving seam.
-    """
-
-    @property
-    def name(self) -> str: ...
-
-    @property
-    def backend_name(self) -> str: ...
-
-    @property
-    def generation(self) -> int: ...
-
-    @property
-    def schema_generation(self) -> int: ...
-
-    def schema(self) -> dict[str, "TableSchema"]: ...
-
-    def has_table(self, name: str) -> bool: ...
-
-    def table(self, name: str) -> "Table": ...
-
-    def tables(self) -> Iterable["Table"]: ...
-
-    def table_names(self) -> list[str]: ...
-
-    def prepare(self, sql: str, *, use_indexes: bool = True) -> Any: ...
-
-    def query(self, sql: str, params: Mapping[str, Any] | None = None) -> "ResultSet": ...
-
-    def explain(self, sql: str) -> str: ...
-
-    def plan_stats(self) -> dict[str, int]: ...
-
-    def execution_paths(self) -> dict[str, int]: ...
-
-    def statistics(self, table_name: str) -> "TableStatistics": ...
-
-    def all_statistics(self) -> dict[str, "TableStatistics"]: ...
-
-
-_MUTATORS = ("insert", "insert_many", "create_table")
 
 
 class KBSnapshot:
@@ -115,8 +49,6 @@ class KBSnapshot:
     in-flight queries on the old snapshot stay correct after a swap.
     All read methods delegate; the three mutators raise ``KBError``.
     """
-
-    backend_name = "memory"
 
     def __init__(self, database: "Database") -> None:
         from repro.kb.database import Database as _Database
@@ -163,7 +95,7 @@ class KBSnapshot:
 
 
 class KBHandle:
-    """Copy-on-write indirection over the active :class:`KBBackend`.
+    """Copy-on-write indirection over the active KB snapshot.
 
     The hot path (``query``/``prepare``/attribute delegation) performs a
     single read of ``self._state`` — an ``(epoch, backend)`` tuple bound
@@ -173,7 +105,7 @@ class KBHandle:
     old epoch with new backend.  A small lock serialises writers only.
     """
 
-    def __init__(self, backend: "KBBackend") -> None:
+    def __init__(self, backend: "Database | KBSnapshot") -> None:
         import threading
 
         if isinstance(backend, KBHandle):
@@ -187,14 +119,14 @@ class KBHandle:
     # -- swap machinery ------------------------------------------------------
 
     @property
-    def backend(self) -> "KBBackend":
+    def backend(self) -> "Database | KBSnapshot":
         return self._state[1]
 
     @property
     def epoch(self) -> int:
         return self._state[0]
 
-    def swap(self, backend: "KBBackend") -> int:
+    def swap(self, backend: "Database | KBSnapshot") -> int:
         """Atomically install ``backend``; returns the new epoch."""
 
         if isinstance(backend, KBHandle):
@@ -217,15 +149,11 @@ class KBHandle:
         epoch, backend = self._state
         return epoch * EPOCH_STRIDE + backend.schema_generation
 
-    # -- protocol delegation -------------------------------------------------
+    # -- read delegation -----------------------------------------------------
 
     @property
     def name(self) -> str:
         return self._state[1].name
-
-    @property
-    def backend_name(self) -> str:
-        return self._state[1].backend_name
 
     def schema(self) -> dict[str, "TableSchema"]:
         return self._state[1].schema()
@@ -256,9 +184,6 @@ class KBHandle:
     def plan_stats(self) -> dict[str, int]:
         return self._state[1].plan_stats()
 
-    def execution_paths(self) -> dict[str, int]:
-        return self._state[1].execution_paths()
-
     def statistics(self, table_name: str) -> "TableStatistics":
         return self._state[1].statistics(table_name)
 
@@ -273,54 +198,17 @@ class KBHandle:
         return f"KBHandle(epoch={epoch}, backend={type(backend).__name__})"
 
 
-def parse_backend_spec(spec: str) -> tuple[str, str | None]:
-    """Parse ``memory`` / ``sqlite`` / ``sqlite:<path>`` into (kind, path)."""
+def wrap_database(database: "Database", spec: str = "memory") -> KBSnapshot:
+    """Freeze ``database`` into a :class:`KBSnapshot`.
 
-    text = (spec or "").strip()
-    if not text or text == "memory":
-        return ("memory", None)
-    if text == "sqlite":
-        return ("sqlite", None)
-    if text.startswith("sqlite:"):
-        path = text[len("sqlite:"):].strip()
-        return ("sqlite", path or None)
-    raise KBError(
-        f"unknown KB backend spec {spec!r}; expected 'memory', 'sqlite', or"
-        " 'sqlite:<path>'"
-    )
-
-
-def backend_spec_from_env(default: str = "memory") -> str:
-    """Read the backend spec from ``REPRO_KB_BACKEND`` (default memory)."""
-
-    return os.environ.get(BACKEND_ENV_VAR, "").strip() or default
-
-
-def wrap_database(database: "Database", spec: str = "memory") -> "KBBackend":
-    """Materialise ``database`` behind the backend named by ``spec``.
-
-    ``memory`` returns a :class:`KBSnapshot` view; ``sqlite`` (optionally
-    with a path, defaulting to an in-process ``:memory:`` database)
-    round-trips rows and schema through a real SQLite file.
+    ``memory`` is the only engine; any other ``spec`` raises ``KBError``.
+    An SQLite ``kb.db`` is a file format: load it with
+    :func:`repro.kb.io.load_database` and wrap the result.
     """
 
-    kind, path = parse_backend_spec(spec)
-    if kind == "memory":
-        return KBSnapshot(database)
-    from repro.kb.sqlite_backend import SQLiteBackend
-
-    return SQLiteBackend.from_database(database, path or ":memory:")
-
-
-def open_backend(spec: str) -> "KBBackend":
-    """Open an already-materialised backend (``sqlite:<path>``)."""
-
-    kind, path = parse_backend_spec(spec)
-    if kind != "sqlite" or path is None:
+    if spec != "memory":
         raise KBError(
-            f"cannot open backend from spec {spec!r}: a persisted backend"
-            " path is required (e.g. 'sqlite:kb.db')"
+            f"unknown KB engine {spec!r}; the in-memory engine is the only "
+            "one (load a kb.db with repro.kb.io.load_database)"
         )
-    from repro.kb.sqlite_backend import SQLiteBackend
-
-    return SQLiteBackend(path)
+    return KBSnapshot(database)

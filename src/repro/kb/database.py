@@ -19,14 +19,7 @@ class Database:
     enforces foreign keys on insert, computes the statistics that the
     ontology-generation step consumes, and executes SQL via
     :func:`repro.kb.sql.execute`.
-
-    It is also the reference implementation of the
-    :class:`~repro.kb.backend.KBBackend` protocol (``backend_name ==
-    "memory"``): every other backend must match its results
-    byte-for-byte or fall back to it.
     """
-
-    backend_name = "memory"
 
     def __init__(self, name: str = "kb") -> None:
         self.name = name
@@ -178,10 +171,6 @@ class Database:
     def plan_stats(self) -> dict[str, int]:
         """Plan-cache observability: plans, hits, misses, executions, probes."""
         return self._plan_cache.stats()
-
-    def execution_paths(self) -> dict[str, int]:
-        """Executions by physical path; the in-memory engine has one path."""
-        return {"memory": self.plan_stats()["executions"]}
 
     # -- statistics ----------------------------------------------------------------
 

@@ -48,6 +48,7 @@ from typing import Any
 
 from repro.errors import RouterError
 from repro.serving.metrics import MetricsRegistry
+from repro.serving.server import ServingError, parse_content_length
 
 #: Ready file a worker writes into its worker directory once listening.
 READY_FILE = "worker.json"
@@ -613,7 +614,16 @@ class _RouterHandler(BaseHTTPRequestHandler):
 
     def _handle(self, method: str) -> None:
         router = self.server.router
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = parse_content_length(self.headers.get("Content-Length"))
+        except ServingError as exc:
+            # The body was left unread: answer, then close the connection.
+            self.close_connection = True
+            payload = json.dumps(
+                {"error": exc.code, "message": exc.message}
+            ).encode("utf-8")
+            self._respond(exc.status, payload, "application/json")
+            return
         body = self.rfile.read(length) if length else None
         path_only = self.path.split("?", 1)[0]
         if method == "GET" and path_only == "/healthz":

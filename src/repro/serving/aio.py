@@ -68,9 +68,9 @@ from urllib.parse import urlsplit
 from repro.engine.agent import ConversationAgent
 from repro.serving.server import (
     KNOWN_ROUTES,
-    MAX_BODY_BYTES,
     ConversationApp,
     ServingError,
+    parse_content_length,
 )
 
 __all__ = ["AsyncConversationServer", "TokenBucket"]
@@ -153,15 +153,6 @@ class _Request:
         self.method = method
         self.path = path
         self.headers = headers
-
-    @property
-    def content_length(self) -> int:
-        try:
-            return int(self.headers.get("content-length", "0") or "0")
-        except ValueError as exc:
-            raise ServingError(
-                400, "bad_request", "invalid Content-Length"
-            ) from exc
 
     @property
     def wants_close(self) -> bool:
@@ -354,11 +345,9 @@ class AsyncConversationServer:
                 return  # clean keep-alive close between requests
             try:
                 request = _parse_head(head)
-                length = request.content_length
-                if length > MAX_BODY_BYTES:
-                    raise ServingError(
-                        413, "too_large", "request body too large"
-                    )
+                length = parse_content_length(
+                    request.headers.get("content-length")
+                )
                 body = await reader.readexactly(length) if length else b""
             except ServingError as exc:
                 await self._send_json(

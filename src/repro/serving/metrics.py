@@ -159,8 +159,7 @@ class MetricsRegistry:
         """Register a live-value gauge; ``read`` is called at render time.
 
         Like counters/histograms, one optional ``(name, value)`` label
-        pair distinguishes gauge families (e.g. per-path plan counts,
-        per-backend info gauges).
+        pair distinguishes gauge families (e.g. the per-path plan count).
         """
         with self._lock:
             self._gauges[(name, label)] = read

@@ -29,7 +29,8 @@ import time
 from collections import OrderedDict
 from typing import Any, Callable, Iterable
 
-from repro.kb.backend import KBBackend
+from repro.kb.backend import KBHandle
+from repro.kb.database import Database
 from repro.kb.sql.planner import CompiledPlan
 from repro.kb.sql.result import ResultSet
 
@@ -193,12 +194,14 @@ class CachingDatabase:
     wherever a ``Database`` is expected.
     """
 
-    def __init__(self, database: KBBackend, cache: QueryCache | None = None) -> None:
+    def __init__(
+        self, database: KBHandle | Database, cache: QueryCache | None = None
+    ) -> None:
         self._database = database
         self.cache = cache if cache is not None else QueryCache()
 
     @property
-    def wrapped(self) -> KBBackend:
+    def wrapped(self) -> KBHandle | Database:
         return self._database
 
     def _cached_execute(

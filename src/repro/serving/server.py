@@ -74,6 +74,25 @@ from repro.serving.session_store import SessionEntry, SessionStore
 #: Maximum accepted request body, in bytes (an utterance, not an upload).
 MAX_BODY_BYTES = 64 * 1024
 
+
+def parse_content_length(value: str | None) -> int:
+    """The request body size named by a ``Content-Length`` header value.
+
+    Shared by every HTTP front end.  An absent or empty header means no
+    body.  Anything but ASCII digits (a sign, a non-ASCII digit such as
+    ``٢``, junk) is a 400 ``bad_request``; a size above
+    :data:`MAX_BODY_BYTES` is a 413 ``too_large``.
+    """
+    text = (value or "").strip()
+    if not text:
+        return 0
+    if not (text.isascii() and text.isdigit()):
+        raise ServingError(400, "bad_request", "invalid Content-Length")
+    length = int(text)
+    if length > MAX_BODY_BYTES:
+        raise ServingError(413, "too_large", "request body too large")
+    return length
+
 #: Routes the app serves; anything else is labelled ``<unmatched>`` in
 #: ``http_requests_total`` so a scanner walking random 404 URLs cannot
 #: grow metric label cardinality (and registry memory) without bound.
@@ -173,7 +192,7 @@ class ConversationApp:
     ) -> None:
         self.agent = agent
         self.metrics = MetricsRegistry()
-        #: Zero-argument callable producing the *next* KB backend for
+        #: Zero-argument callable producing the *next* KB snapshot for
         #: ``POST /refresh`` (typically a rebuild of the bootstrap
         #: pipeline).  Refresh is a 501 when no builder is wired.
         self._kb_builder = kb_builder
@@ -269,39 +288,23 @@ class ConversationApp:
         self.metrics.gauge(
             "kb_generation", lambda: self._original_database.generation
         )
-        # KB backend / refresh observability.  kb_refresh_total and the
-        # duration histogram are registered now so they render as 0
-        # before the first refresh; kb_backend_info is an info-style
-        # gauge (1 on the active backend's label, 0 elsewhere); and
-        # plan_lowered_total counts plan executions by physical path
-        # (memory | sql | fallback) from the active backend.
+        # KB refresh observability.  kb_refresh_total and the duration
+        # histogram are registered now so they render as 0 before the
+        # first refresh; plan_lowered_total counts plan executions of
+        # the active snapshot under its one path label, ``memory``.
         self.metrics.counter("kb_refresh_total")
         self._refresh_duration = self.metrics.histogram(
             "kb_refresh_duration_seconds"
         )
-        for backend_label in ("memory", "sqlite"):
-            self.metrics.gauge(
-                "kb_backend_info",
-                lambda b=backend_label: (
-                    1.0
-                    if getattr(self._original_database, "backend_name", "memory")
-                    == b
-                    else 0.0
-                ),
-                label=("backend", backend_label),
-            )
         self.metrics.gauge(
             "kb_epoch",
             lambda: float(getattr(self._original_database, "epoch", 0)),
         )
-        for path_label in ("memory", "sql", "fallback"):
-            self.metrics.gauge(
-                "plan_lowered_total",
-                lambda p=path_label: float(
-                    self._execution_paths().get(p, 0)
-                ),
-                label=("path", path_label),
-            )
+        self.metrics.gauge(
+            "plan_lowered_total",
+            lambda: float(self._original_database.plan_stats()["executions"]),
+            label=("path", "memory"),
+        )
         self.metrics.gauge(
             "query_cache_stale_drops_total",
             lambda: float(self.cache.stale_drops),
@@ -730,19 +733,15 @@ class ConversationApp:
         self.metrics.counter("feedback_total", ("feedback", feedback)).inc()
         return {"session_id": str(session_id), "feedback": feedback}
 
-    def _execution_paths(self) -> dict[str, int]:
-        reader = getattr(self._original_database, "execution_paths", None)
-        return reader() if reader is not None else {}
-
     def refresh_kb(self, payload: dict | None = None) -> dict:
         """Build, validate and atomically swap in the next KB snapshot.
 
         Runs on the calling request thread (each request has its own, so
         serving continues on the old snapshot throughout the build).
-        The new backend is validated with the ``repro check`` space
+        The new snapshot is validated with the ``repro check`` space
         checker before the swap; a snapshot that fails validation is
         discarded and the live KB is untouched.  The swap itself is one
-        atomic handle update — in-flight turns keep the backend object
+        atomic handle update — in-flight turns keep the snapshot object
         they already resolved, new turns observe the new one, and the
         epoch-scaled generation makes every cached plan/result from the
         old snapshot unservable.
@@ -769,7 +768,7 @@ class ConversationApp:
         start = time.perf_counter()
         try:
             try:
-                backend = self._kb_builder()
+                snapshot = self._kb_builder()
             except Exception as exc:
                 raise ServingError(
                     500, "refresh_build_failed", f"KB build failed: {exc}"
@@ -779,7 +778,7 @@ class ConversationApp:
             from repro.analysis.diagnostics import error_count
             from repro.analysis.space_checker import check_space
 
-            diagnostics = check_space(self.agent.space, backend)
+            diagnostics = check_space(self.agent.space, snapshot)
             errors = error_count(diagnostics)
             if errors:
                 raise ServingError(
@@ -788,16 +787,15 @@ class ConversationApp:
                     f"new KB snapshot failed validation with {errors} "
                     "error(s); keeping the current snapshot",
                 )
-            epoch = handle.swap(backend)
+            epoch = handle.swap(snapshot)
             duration = time.perf_counter() - start
             self.metrics.counter("kb_refresh_total").inc()
             self._refresh_duration.observe(duration)
             return {
                 "status": "ok",
                 "epoch": epoch,
-                "backend": getattr(backend, "backend_name", "memory"),
                 "generation": handle.generation,
-                "tables": len(backend.table_names()),
+                "tables": len(snapshot.table_names()),
                 "duration_seconds": round(duration, 6),
                 "validation_errors": 0,
             }
@@ -881,9 +879,7 @@ class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
 
     def _read_payload(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > MAX_BODY_BYTES:
-            raise ServingError(413, "too_large", "request body too large")
+        length = parse_content_length(self.headers.get("Content-Length"))
         if length == 0:
             return {}
         raw = self.rfile.read(length)
@@ -913,6 +909,9 @@ class _Handler(BaseHTTPRequestHandler):
             try:
                 payload = self._read_payload() if method == "POST" else {}
             except ServingError as exc:
+                # The body was left unread, so the connection cannot be
+                # reused: answer, then close.
+                self.close_connection = True
                 self._respond(exc.status, {"error": exc.code, "message": exc.message})
                 return
             status, body = self.server.app.handle(method, self.path, payload)

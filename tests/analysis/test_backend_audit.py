@@ -1,8 +1,8 @@
-"""`repro check/audit --backend`: validating against a pluggable KB backend.
+"""`repro check/audit --data kb.db`: validating an exported SQLite KB.
 
-The toolchain must be able to audit exactly what a sqlite-backed server
-would serve — an exported ``kb.db`` — and catch a replica that drifted
-from the conversation space.
+The toolchain must be able to audit exactly what a server started with
+``--data kb.db`` would serve, and catch a replica that drifted from the
+conversation space.
 """
 
 from __future__ import annotations
@@ -13,31 +13,29 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.kb.backend import wrap_database
-from repro.kb.io import save_database
+from repro.kb.io import save_database, save_sqlite
 from repro.bootstrap import space_to_dict
 from tests.serving.conftest import build_toy_agent
 
 
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory: pytest.TempPathFactory) -> Path:
-    """Exported toy space + CSV KB + materialised kb.db."""
+    """Exported toy space + CSV KB + kb.db."""
     out = tmp_path_factory.mktemp("toy-audit")
     agent = build_toy_agent()
     (out / "space.json").write_text(
         json.dumps(space_to_dict(agent.space)), encoding="utf-8"
     )
     save_database(agent.database, out / "kb")
-    wrap_database(agent.database, f"sqlite:{out / 'kb.db'}").close()
+    save_sqlite(agent.database, out / "kb.db")
     return out
 
 
-def check_args(artifacts: Path, *extra: str) -> list[str]:
+def check_args(artifacts: Path, data: Path | None = None) -> list[str]:
     return [
         "check",
         "--space", str(artifacts / "space.json"),
-        "--data", str(artifacts / "kb"),
-        *extra,
+        "--data", str(data if data is not None else artifacts / "kb"),
     ]
 
 
@@ -45,36 +43,25 @@ class TestBackendSelection:
     def test_memory_default_passes(self, artifacts):
         assert main(check_args(artifacts)) == 0
 
-    def test_sqlite_round_trip_passes(self, artifacts):
-        assert main(check_args(artifacts, "--backend", "sqlite")) == 0
-
     def test_exported_kb_db_passes(self, artifacts):
-        assert main(check_args(
-            artifacts, "--backend", f"sqlite:{artifacts / 'kb.db'}"
-        )) == 0
+        assert main(check_args(artifacts, artifacts / "kb.db")) == 0
 
     def test_audit_accepts_backend_too(self, artifacts):
         assert main([
             "audit",
             "--space", str(artifacts / "space.json"),
-            "--data", str(artifacts / "kb"),
-            "--backend", f"sqlite:{artifacts / 'kb.db'}",
+            "--data", str(artifacts / "kb.db"),
         ]) == 0
-
-    def test_unknown_backend_spec_exits_cleanly(self, artifacts):
-        with pytest.raises(SystemExit):
-            main(check_args(artifacts, "--backend", "postgres"))
 
 
 class TestDriftDetection:
     def test_drifted_replica_fails_check(self, artifacts, tmp_path):
         # A kb.db missing a table the space queries: checking the CSV KB
-        # passes, checking the drifted sqlite replica must not.
+        # passes, checking the drifted replica must not.
         from repro.kb import Database
 
         agent = build_toy_agent()
-        backend = agent.database.backend
-        source = getattr(backend, "wrapped", backend)
+        source = agent.database.backend
         broken = Database(source.name)
         for table in source.tables():
             if table.name == "dosage":
@@ -82,16 +69,11 @@ class TestDriftDetection:
             broken.create_table(table.schema)
             for row in table.rows:
                 broken.table(table.name).insert(list(row))
-        drifted = tmp_path / "drifted.db"
-        wrap_database(broken, f"sqlite:{drifted}").close()
+        drifted = save_sqlite(broken, tmp_path / "drifted.db")
 
         assert main(check_args(artifacts)) == 0
-        assert main(check_args(
-            artifacts, "--backend", f"sqlite:{drifted}"
-        )) == 1
+        assert main(check_args(artifacts, drifted)) == 1
 
     def test_missing_kb_db_exits_cleanly(self, artifacts, tmp_path):
         with pytest.raises(SystemExit):
-            main(check_args(
-                artifacts, "--backend", f"sqlite:{tmp_path / 'absent.db'}"
-            ))
+            main(check_args(artifacts, tmp_path / "absent.db"))

@@ -89,6 +89,40 @@ class TestExportAndChatRoundTrip:
         assert "decided by [answer]" in traces[0]
         assert "kind=answer" in traces[0]
 
+    def test_export_sqlite_reloads_equal_database(self, tmp_path):
+        from repro.kb.io import load_database
+        from repro.medical import build_mdx_database
+
+        out = tmp_path / "artifacts"
+        lines = []
+        args = build_parser().parse_args(["export", "--sqlite", "--out", str(out)])
+        assert cmd_export(args, output_fn=lines.append) == 0
+        assert "kb.db" in lines[-1]
+
+        source = build_mdx_database()
+        restored = load_database(out / "kb.db")
+        assert restored.table_names() == source.table_names()
+        for table in source.tables():
+            reloaded = restored.table(table.name)
+            assert reloaded.schema.columns == table.schema.columns
+            assert [
+                [(type(v), v) for v in row] for row in reloaded.rows
+            ] == [[(type(v), v) for v in row] for row in table.rows]
+
+        chat_args = build_parser().parse_args([
+            "chat", "--space", str(out / "conversation_space.json"),
+            "--data", str(out / "kb.db"),
+        ])
+        script = iter(["adverse effects of aspirin", "quit"])
+        transcript = []
+        assert cmd_chat(
+            chat_args,
+            input_fn=lambda _prompt: next(script),
+            output_fn=transcript.append,
+        ) == 0
+        answers = [t for t in transcript if t.startswith("A: Here are the")]
+        assert answers and "Aspirin" in answers[0]
+
     def test_chat_space_without_data_rejected(self):
         args = build_parser().parse_args(["chat", "--space", "x.json"])
         with pytest.raises(SystemExit):

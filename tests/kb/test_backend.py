@@ -1,45 +1,14 @@
-"""The KBBackend seam: protocol conformance, snapshots, the swap handle."""
+"""KB snapshots and the copy-on-write swap handle."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import KBError
-from repro.kb.backend import (
-    EPOCH_STRIDE,
-    KBBackend,
-    KBHandle,
-    KBSnapshot,
-    backend_spec_from_env,
-    open_backend,
-    parse_backend_spec,
-    wrap_database,
-)
+from repro.kb.backend import EPOCH_STRIDE, KBHandle, KBSnapshot, wrap_database
 from repro.kb.database import Database
-from repro.kb.sqlite_backend import SQLiteBackend
+from repro.kb.io import load_database, save_sqlite
 from tests.conftest import make_toy_database
-
-
-class TestProtocolConformance:
-    """Every shipped implementation satisfies KBBackend structurally."""
-
-    @pytest.mark.parametrize("build", [
-        lambda db: db,
-        lambda db: KBSnapshot(db),
-        lambda db: KBHandle(KBSnapshot(db)),
-        lambda db: SQLiteBackend.from_database(db, ":memory:"),
-    ], ids=["database", "snapshot", "handle", "sqlite"])
-    def test_satisfies_protocol(self, build):
-        backend = build(make_toy_database())
-        assert isinstance(backend, KBBackend)
-
-    def test_backend_names(self):
-        db = make_toy_database()
-        assert db.backend_name == "memory"
-        assert KBSnapshot(db).backend_name == "memory"
-        sqlite = SQLiteBackend.from_database(db, ":memory:")
-        assert sqlite.backend_name == "sqlite"
-        assert KBHandle(sqlite).backend_name == "sqlite"
 
 
 class TestKBSnapshot:
@@ -133,56 +102,25 @@ class TestKBHandle:
         assert len(after.rows) == len(before.rows) + 1
 
 
-class TestSpecParsing:
-    @pytest.mark.parametrize("spec,expected", [
-        ("memory", ("memory", None)),
-        ("", ("memory", None)),
-        ("  ", ("memory", None)),
-        ("sqlite", ("sqlite", None)),
-        ("sqlite:kb.db", ("sqlite", "kb.db")),
-        ("sqlite:/tmp/x/kb.db", ("sqlite", "/tmp/x/kb.db")),
-    ])
-    def test_parse(self, spec, expected):
-        assert parse_backend_spec(spec) == expected
-
-    def test_unknown_spec_raises(self):
-        with pytest.raises(KBError, match="unknown KB backend spec"):
-            parse_backend_spec("postgres")
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KB_BACKEND", raising=False)
-        assert backend_spec_from_env() == "memory"
-        monkeypatch.setenv("REPRO_KB_BACKEND", "sqlite")
-        assert backend_spec_from_env() == "sqlite"
-
-
 class TestFactories:
     def test_wrap_memory(self, toy_db):
         backend = wrap_database(toy_db, "memory")
         assert isinstance(backend, KBSnapshot)
 
-    def test_wrap_sqlite(self, toy_db):
-        backend = wrap_database(toy_db, "sqlite")
-        assert isinstance(backend, SQLiteBackend)
-        assert backend.path == ":memory:"
-
-    def test_open_backend_requires_path(self):
-        with pytest.raises(KBError, match="path is required"):
-            open_backend("sqlite")
-        with pytest.raises(KBError, match="path is required"):
-            open_backend("memory")
+    @pytest.mark.parametrize("spec", ["sqlite", "sqlite:kb.db", "postgres", ""])
+    def test_wrap_rejects_other_engines(self, toy_db, spec):
+        with pytest.raises(KBError, match="unknown KB engine"):
+            wrap_database(toy_db, spec)
 
     def test_export_then_open_round_trip(self, tmp_path):
         db = make_toy_database()
-        path = tmp_path / "kb.db"
-        wrap_database(db, f"sqlite:{path}").close()
+        path = save_sqlite(db, tmp_path / "kb.db")
 
-        reopened = open_backend(f"sqlite:{path}")
+        reopened = KBHandle(KBSnapshot(load_database(path)))
         assert reopened.name == db.name
         assert reopened.generation == db.generation
-        assert sorted(reopened.table_names()) == sorted(db.table_names())
+        assert reopened.table_names() == db.table_names()
         reference = db.query("SELECT name, brand FROM drug ORDER BY name")
         assert reopened.query(
             "SELECT name, brand FROM drug ORDER BY name"
         ) == reference
-        reopened.close()

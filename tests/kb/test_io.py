@@ -1,9 +1,50 @@
-"""Tests for KB CSV import/export."""
+"""Tests for KB import/export: the CSV directory and the SQLite file."""
+
+import sqlite3
 
 import pytest
 
 from repro.errors import KBError
-from repro.kb.io import load_database, save_database
+from repro.kb import Column, Database, DataType, TableSchema
+from repro.kb.io import (
+    META_TABLE,
+    POSITION_COLUMN,
+    load_database,
+    save_database,
+    save_sqlite,
+)
+from tests.conftest import make_toy_database
+
+
+def make_typed_database() -> Database:
+    """A KB exercising every data type plus NULLs and duplicate keys."""
+    db = Database("typed")
+    db.create_table(TableSchema(
+        "item",
+        [Column("item_id", DataType.INTEGER, nullable=False),
+         Column("label", DataType.TEXT),
+         Column("score", DataType.FLOAT),
+         Column("active", DataType.BOOLEAN)],
+        primary_key="item_id",
+    ))
+    rows = [
+        (5, "gamma", 2.25, False),
+        (1, "Alpha", 1.5, True),
+        (2, "beta", None, False),
+        (3, None, 2.0, True),
+        (4, "ALPHA", 0.5, None),
+    ]
+    for item_id, label, score, active in rows:
+        db.insert("item", {
+            "item_id": item_id, "label": label,
+            "score": score, "active": active,
+        })
+    return db
+
+
+def typed_rows(table) -> list[list[tuple[str, object]]]:
+    """Rows with each value's Python type, so 1 != True != 1.0."""
+    return [[(type(v).__name__, v) for v in row] for row in table.rows]
 
 
 class TestRoundTrip:
@@ -94,3 +135,117 @@ class TestValidation:
         restored = load_database(tmp_path)
         assert len(restored.table("risk")) == 0
         assert len(restored.table("drug")) == 7
+
+
+class TestSQLiteRoundTrip:
+    def test_schema_and_generations_survive(self, tmp_path):
+        db = make_toy_database()
+        restored = load_database(save_sqlite(db, tmp_path / "kb.db"))
+        assert isinstance(restored, Database)
+        assert restored.name == db.name
+        assert restored.generation == db.generation
+        assert restored.schema_generation == db.schema_generation
+        assert restored.table_names() == db.table_names()
+        for name in db.table_names():
+            original = db.table(name).schema
+            schema = restored.table(name).schema
+            assert schema.column_names() == original.column_names()
+            assert [c.data_type for c in schema.columns] == [
+                c.data_type for c in original.columns
+            ]
+            assert schema.primary_key == original.primary_key
+            assert schema.foreign_keys == original.foreign_keys
+
+    def test_rows_identical_per_table(self, tmp_path):
+        db = make_toy_database()
+        restored = load_database(save_sqlite(db, tmp_path / "kb.db"))
+        for name in db.table_names():
+            assert typed_rows(restored.table(name)) == typed_rows(db.table(name))
+
+    def test_types_and_row_order_survive_exactly(self, tmp_path):
+        db = make_typed_database()
+        restored = load_database(save_sqlite(db, tmp_path / "kb.db"))
+        # bools are bools again (not 0/1), 2.0 stays a float, NULLs stay
+        # None, and rows keep insertion order rather than key order.
+        assert typed_rows(restored.table("item")) == typed_rows(db.table("item"))
+        assert [row[0] for row in restored.table("item").rows] == [5, 1, 2, 3, 4]
+
+    def test_statistics_match(self, tmp_path):
+        db = make_toy_database()
+        restored = load_database(save_sqlite(db, tmp_path / "kb.db"))
+        assert restored.statistics("drug").row_count == db.statistics("drug").row_count
+        assert set(restored.all_statistics()) == set(db.all_statistics())
+
+    def test_queries_work_after_reload(self, tmp_path):
+        db = make_typed_database()
+        restored = load_database(save_sqlite(db, tmp_path / "kb.db"))
+        sql = "SELECT label FROM item WHERE active = TRUE ORDER BY item_id"
+        assert restored.query(sql) == db.query(sql)
+
+    def test_save_replaces_an_existing_file(self, tmp_path):
+        path = tmp_path / "kb.db"
+        save_sqlite(make_toy_database(), path)
+        save_sqlite(make_typed_database(), path)
+        assert load_database(path).table_names() == ["item"]
+        assert [p.name for p in tmp_path.iterdir()] == ["kb.db"]
+
+    def test_mdx_round_trips(self, mdx_small_db, tmp_path):
+        restored = load_database(save_sqlite(mdx_small_db, tmp_path / "kb.db"))
+        for table in mdx_small_db.tables():
+            assert typed_rows(restored.table(table.name)) == typed_rows(table)
+
+
+class TestReservedNames:
+    def test_reserved_table_name(self, tmp_path):
+        db = Database("bad")
+        db.create_table(TableSchema(META_TABLE, [Column("x", DataType.INTEGER)]))
+        with pytest.raises(KBError, match="reserved"):
+            save_sqlite(db, tmp_path / "kb.db")
+        assert not (tmp_path / "kb.db").exists()
+
+    def test_reserved_column_name(self, tmp_path):
+        db = Database("bad")
+        db.create_table(TableSchema("t", [Column(POSITION_COLUMN, DataType.INTEGER)]))
+        with pytest.raises(KBError, match="reserved"):
+            save_sqlite(db, tmp_path / "kb.db")
+
+
+class TestSQLiteValidation:
+    def test_missing_file_raises(self, tmp_path):
+        with pytest.raises(KBError, match="no SQLite KB database"):
+            load_database(tmp_path / "absent.db")
+        assert not (tmp_path / "absent.db").exists()
+
+    def test_foreign_file_raises(self, tmp_path):
+        path = tmp_path / "foreign.db"
+        conn = sqlite3.connect(path)
+        conn.execute("CREATE TABLE t (x)")
+        conn.commit()
+        conn.close()
+        with pytest.raises(KBError, match="not a repro KB"):
+            load_database(path)
+
+    def test_non_sqlite_file_raises(self, tmp_path):
+        path = tmp_path / "notes.db"
+        path.write_text("not a database\n" * 100)
+        with pytest.raises(KBError, match="not a repro KB"):
+            load_database(path)
+
+    @pytest.mark.parametrize("manifest", ["{broken", "[1, 2]", '{"tables": [{}]}'])
+    def test_corrupt_manifest_raises(self, tmp_path, manifest):
+        path = save_sqlite(make_toy_database(), tmp_path / "kb.db")
+        conn = sqlite3.connect(path)
+        conn.execute(f"UPDATE {META_TABLE} SET value = ?", (manifest,))
+        conn.commit()
+        conn.close()
+        with pytest.raises(KBError, match="corrupt KB manifest"):
+            load_database(path)
+
+    def test_missing_manifest_row_raises(self, tmp_path):
+        path = save_sqlite(make_toy_database(), tmp_path / "kb.db")
+        conn = sqlite3.connect(path)
+        conn.execute(f"DELETE FROM {META_TABLE}")
+        conn.commit()
+        conn.close()
+        with pytest.raises(KBError, match="no KB manifest"):
+            load_database(path)

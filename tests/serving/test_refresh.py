@@ -6,7 +6,8 @@ import threading
 
 import pytest
 
-from repro.kb.backend import EPOCH_STRIDE, wrap_database
+from repro.kb.backend import EPOCH_STRIDE, KBSnapshot, wrap_database
+from repro.kb.io import load_database, save_sqlite
 from repro.serving import ConversationApp, ConversationServer
 from tests.conftest import make_toy_database
 from tests.serving.conftest import build_toy_agent, http_json, http_text
@@ -14,10 +15,6 @@ from tests.serving.conftest import build_toy_agent, http_json, http_text
 
 def memory_builder():
     return wrap_database(make_toy_database(), "memory")
-
-
-def sqlite_builder():
-    return wrap_database(make_toy_database(), "sqlite")
 
 
 class TestRefreshContract:
@@ -30,7 +27,6 @@ class TestRefreshContract:
         assert status == 200
         assert body["status"] == "ok"
         assert body["epoch"] == 1
-        assert body["backend"] == "memory"
         assert body["validation_errors"] == 0
         assert handle.epoch == 1
         assert handle.generation > generation_before
@@ -52,11 +48,15 @@ class TestRefreshContract:
         )
         assert after["text"] == before["text"]
 
-    def test_refresh_to_sqlite_backend(self):
-        app = ConversationApp(build_toy_agent(), kb_builder=sqlite_builder)
+    def test_refresh_from_kb_db_file(self, tmp_path):
+        path = save_sqlite(make_toy_database(), tmp_path / "kb.db")
+        app = ConversationApp(
+            build_toy_agent(),
+            kb_builder=lambda: KBSnapshot(load_database(path)),
+        )
         status, body = app.handle("POST", "/refresh", {})
         assert status == 200
-        assert body["backend"] == "sqlite"
+        assert body["epoch"] == 1
         _, answer = app.handle(
             "POST", "/chat", {"utterance": "dosage for Aspirin"}
         )
@@ -107,7 +107,7 @@ class TestRefreshContract:
         app.handle("POST", "/refresh", {})
         _, text = app.handle("GET", "/metrics", {})
         assert "kb_refresh_total 1" in text
-        assert 'kb_backend_info{backend="memory"} 1.0' in text
+        assert 'plan_lowered_total{path="memory"}' in text
         assert "kb_epoch 1.0" in text
         assert "kb_refresh_duration_seconds_count 1" in text
         assert "query_cache_stale_served_total 0" in text
