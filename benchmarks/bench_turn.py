@@ -13,11 +13,14 @@ Two modes:
 
 * **Timing mode** (default) — replays the workload ``--repeats`` times
   and prints p50/p95 per conversation kind and mean/p95/share per
-  pipeline stage.
-* **Smoke mode** (``--smoke``, run in CI) — a single replay that
-  asserts every turn produced a complete, well-formed trace (every
-  stage timed, a deciding stage present, durations consistent) instead
-  of asserting latency numbers, which would flake on shared CI runners.
+  pipeline stage, then splits the ``classify`` stage into its pieces —
+  featurize (tokenizing included), score, recognize and the gibberish
+  guard — by calling each piece directly on the workload utterances.
+* **Smoke mode** (``--smoke``, run in CI) — a single replay, and one
+  pass over the classify pieces, that asserts every turn produced a
+  complete, well-formed trace (every stage timed, a deciding stage
+  present, durations consistent) instead of asserting latency numbers,
+  which would flake on shared CI runners.
 
 Either mode can emit a JSON report via ``--json PATH`` for the CI
 artifact upload.
@@ -33,10 +36,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from typing import Any
 
 from repro.engine.kinds import ResponseKind
 from repro.medical import build_mdx_agent
+from repro.nlp.tokenizer import Utterance
 
 #: Fixed replay workload: one scripted conversation per behaviour the
 #: pipeline distinguishes, so every stage shows up in the breakdown.
@@ -151,6 +156,32 @@ def aggregate(all_turns: list[dict[str, Any]]) -> dict[str, Any]:
     }
 
 
+def time_pieces(agent: Any, repeats: int) -> dict[str, float]:
+    """Mean microseconds per utterance of each piece of the classify
+    stage, each called directly on every workload utterance."""
+    classifier, recognizer = agent.classifier, agent.recognizer
+    vectorizer, model = classifier.vectorizer, classifier.model
+    utterances = [u for _, script in CONVERSATIONS for u in script]
+    texts = [Utterance.parse(u) for u in utterances]
+    rows = [vectorizer.featurize(u) for u in utterances]
+    pieces = {
+        "featurize": lambda i: vectorizer.featurize(utterances[i]),
+        "score": lambda i: model.score(*rows[i]),
+        "recognize": lambda i: recognizer.recognize(texts[i]),
+        "gibberish_guard": lambda i: vectorizer.known_word_fraction(texts[i]),
+    }
+    indices = range(len(utterances))
+    timings: dict[str, float] = {}
+    for name, piece in pieces.items():
+        began = time.perf_counter()
+        for _ in range(repeats):
+            for i in indices:
+                piece(i)
+        elapsed = time.perf_counter() - began
+        timings[name] = round(1e6 * elapsed / (repeats * len(utterances)), 2)
+    return timings
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -184,6 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     summary = aggregate(all_turns)
     report.update(summary)
+    report["classify_pieces_us"] = time_pieces(agent, repeats)
     ok = not problems and summary["turns"] > 0
 
     print(f"turns: {summary['turns']}  "
@@ -196,6 +228,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  {stage['stage']:<16} mean {stage['mean_us']:>10}us  "
               f"p95 {stage['p95_us']:>10}us  share {stage['share']:>7.2%}  "
               f"decided {stage['decisions']}")
+    print("classify pieces (mean per utterance, called directly):")
+    for name, micros in report["classify_pieces_us"].items():
+        print(f"  {name:<16} {micros:>10}us")
     for problem in problems:
         print(f"PROBLEM: {problem}")
 

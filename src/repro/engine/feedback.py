@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from typing import Iterator
 
 
-@dataclass
+@dataclass(slots=True)
 class InteractionRecord:
-    """One logged user interaction."""
+    """One logged user interaction (slotted: the log keeps one per turn)."""
 
     utterance: str
     response: str
@@ -44,9 +44,16 @@ class FeedbackLog:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._records: list[InteractionRecord] = []
+        # Response text -> the one copy the log keeps.  The log holds
+        # every turn, and the same question mostly gets the same answer
+        # text, so records share it rather than each keeping a copy.
+        self._responses: dict[str, str] = {}
 
     def record(self, record: InteractionRecord) -> InteractionRecord:
         with self._lock:
+            record.response = self._responses.setdefault(
+                record.response, record.response
+            )
             self._records.append(record)
         return record
 

@@ -31,6 +31,7 @@ from repro.dialogue.tree import NodeOutcome
 from repro.engine.kinds import validate_kind
 from repro.engine.recognizer import RecognitionResult
 from repro.errors import EngineError
+from repro.nlp.classifier import UtteranceAnalysis
 
 #: Stage-trace outcome labels.
 PASS, UPDATE, FINAL = "pass", "update", "final"
@@ -131,7 +132,10 @@ class TurnState:
     """Everything a stage may read or refine while processing one turn.
 
     ``intent``/``confidence`` start as the raw classifier output and are
-    refined by the context stages; ``recognition`` is the recognizer's
+    refined by the context stages; ``analysis`` is the utterance's
+    one-per-turn tokenization and intent scores (set by the classify
+    stage; later stages read top-k candidates from it rather than
+    re-classifying); ``recognition`` is the recognizer's
     result (stages may resolve ambiguities into it); ``outcome`` is set
     by the tree-traversal stage for the acting stages to consume.
     """
@@ -140,6 +144,9 @@ class TurnState:
     context: ConversationContext
     intent: str | None = None
     confidence: float = 0.0
+    analysis: UtteranceAnalysis | None = field(
+        default=None, repr=False, compare=False
+    )
     recognition: RecognitionResult = field(default_factory=RecognitionResult)
     outcome: NodeOutcome | None = None
     detail: dict[str, Any] = field(default_factory=dict)

@@ -12,11 +12,12 @@ Implements the recognition behaviours §6.1 describes for MDX:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.bootstrap.entities import Entity
 from repro.nlp.similarity import similarity_ratio
-from repro.nlp.tokenizer import stem, tokenize
+from repro.nlp.tokenizer import Utterance, stem, tokenize
 
 #: Minimum normalized similarity for a fuzzy (misspelling) match.
 DEFAULT_FUZZY_THRESHOLD = 0.84
@@ -43,6 +44,28 @@ class RecognitionResult:
         return bool(self.values)
 
 
+def fuzzy_depth(length: int, threshold: float) -> int:
+    """Most edits a word of ``length`` can be from a fuzzy match.
+
+    A match needs ``1 - d / max(len) >= threshold`` with the two lengths
+    at most 2 apart, so ``d <= (1 - threshold) * (length + 2)`` for
+    either word.  The tiny slack keeps a float-rounded boundary case
+    inside the bound; a deeper neighbourhood only adds candidates,
+    which :func:`similarity_ratio` then rejects.
+    """
+    return max(0, math.floor((1.0 - threshold) * (length + 2) + 1e-9))
+
+
+def deletion_neighbourhood(word: str, depth: int) -> set[str]:
+    """Every string reachable from ``word`` by at most ``depth`` deletions."""
+    found = {word}
+    level = found
+    for _ in range(depth):
+        level = {w[:i] + w[i + 1 :] for w in level for i in range(len(w))}
+        found |= level
+    return found
+
+
 class EntityRecognizer:
     """Dictionary-based recognizer built from the conversation space's
     entities.
@@ -51,6 +74,16 @@ class EntityRecognizer:
     instance values win over concept mentions on the same span, exact
     matches win over fuzzy ones, and leftover single tokens are checked
     for misspellings and partial names.
+
+    A misspelling matches a single-word instance surface with the same
+    first letter, a length at most 2 apart and a similarity ratio of at
+    least ``fuzzy_threshold``; the most similar surface wins, ties going
+    to the surface registered first.  Candidates come from a
+    deletion-neighbourhood index (SymSpell-style) rather than a scan:
+    two words within edit distance ``d`` share a string reachable from
+    each by at most ``d`` deletions, so indexing every surface's tail
+    to :func:`fuzzy_depth` and probing with the token's tail finds
+    every surface that can pass the ratio check.
     """
 
     def __init__(
@@ -69,8 +102,12 @@ class EntityRecognizer:
         self._concept_surfaces: dict[str, str] = {}
         # first word of a multi-word value -> [(concept, value)]
         self._partial_index: dict[str, list[tuple[str, str]]] = {}
-        # surfaces bucketed by first character, for bounded fuzzy scans
-        self._fuzzy_buckets: dict[str, list[tuple[str, str, str]]] = {}
+        # single-word instance surfaces in registration order (first
+        # occurrence of each): (surface, concept, value)
+        self._fuzzy_surfaces: list[tuple[str, str, str]] = []
+        # first letter + a deletion variant of the surface's tail ->
+        # ascending positions in _fuzzy_surfaces
+        self._fuzzy_index: dict[str, tuple[int, ...]] = {}
 
         for entity in entities:
             if entity.kind == "instance" and entity.concept:
@@ -79,6 +116,7 @@ class EntityRecognizer:
                         key = " ".join(tokenize(form))
                         if not key:
                             continue
+                        first_seen = key not in self._instance_surfaces
                         self._instance_surfaces.setdefault(
                             key, (entity.concept, value.value)
                         )
@@ -87,8 +125,10 @@ class EntityRecognizer:
                             self._partial_index.setdefault(words[0], []).append(
                                 (entity.concept, value.value)
                             )
-                        if len(key) >= 4:
-                            self._fuzzy_buckets.setdefault(key[0], []).append(
+                        # Later duplicates of a surface can never win a
+                        # fuzzy match: ties go to the first registered.
+                        if first_seen and len(words) == 1 and len(key) >= 4:
+                            self._fuzzy_surfaces.append(
                                 (key, entity.concept, value.value)
                             )
             elif entity.kind in ("concept", "group"):
@@ -102,40 +142,46 @@ class EntityRecognizer:
                         stemmed = " ".join(stem(t) for t in tokenize(form))
                         if stemmed:
                             self._concept_surfaces.setdefault(stemmed, value.value)
+        if enable_fuzzy:
+            self._build_fuzzy_index()
+
+    def _build_fuzzy_index(self) -> None:
+        index: dict[str, list[int]] = {}
+        for position, (surface, _concept, _value) in enumerate(self._fuzzy_surfaces):
+            depth = fuzzy_depth(len(surface), self.fuzzy_threshold)
+            for variant in deletion_neighbourhood(surface[1:], depth):
+                index.setdefault(surface[0] + variant, []).append(position)
+        self._fuzzy_index = {key: tuple(ids) for key, ids in index.items()}
 
     # -- matching ----------------------------------------------------------
 
-    def recognize(self, utterance: str) -> RecognitionResult:
+    def recognize(self, utterance: str | Utterance) -> RecognitionResult:
         """Recognize entities, concept mentions and ambiguities in
         ``utterance``."""
-        tokens = tokenize(utterance)
+        text = Utterance.parse(utterance)
+        tokens, stems = text.tokens, text.stems
         result = RecognitionResult()
         used = [False] * len(tokens)
 
         # Pass 1: exact n-gram matches, longest first.
         for length in range(min(MAX_SURFACE_TOKENS, len(tokens)), 0, -1):
             for start in range(len(tokens) - length + 1):
-                if any(used[start : start + length]):
+                end = start + length
+                if any(used[start:end]):
                     continue
-                gram = " ".join(tokens[start : start + length])
-                stemmed_gram = " ".join(
-                    stem(t) for t in tokens[start : start + length]
-                )
+                gram = " ".join(tokens[start:end])
                 if gram in self._instance_surfaces:
                     concept, value = self._instance_surfaces[gram]
                     result.values.setdefault(concept, value)
-                    for i in range(start, start + length):
-                        used[i] = True
-                elif gram in self._concept_surfaces or (
-                    stemmed_gram in self._concept_surfaces
-                ):
-                    concept = self._concept_surfaces.get(
-                        gram, self._concept_surfaces.get(stemmed_gram)
-                    )
+                    used[start:end] = [True] * length
+                    continue
+                concept = self._concept_surfaces.get(gram)
+                if concept is None:
+                    concept = self._concept_surfaces.get(" ".join(stems[start:end]))
+                if concept is not None:
                     if concept not in result.concepts:
                         result.concepts.append(concept)
-                    for i in range(start, start + length):
-                        used[i] = True
+                    used[start:end] = [True] * length
 
         # Pass 2: leftover tokens — partial names, then misspellings.
         for i, token in enumerate(tokens):
@@ -173,11 +219,16 @@ class EntityRecognizer:
         return result
 
     def _fuzzy_match(self, token: str) -> tuple[str, str, str] | None:
-        bucket = self._fuzzy_buckets.get(token[0], [])
+        index = self._fuzzy_index
+        first = token[0]
+        depth = fuzzy_depth(len(token), self.fuzzy_threshold)
+        positions: set[int] = set()
+        for variant in deletion_neighbourhood(token[1:], depth):
+            positions.update(index.get(first + variant, ()))
         best: tuple[float, str, str, str] | None = None
-        for surface, concept, value in bucket:
-            if " " in surface:
-                continue  # fuzzy only against single-word surfaces
+        # Registration order, so ties break toward the first surface.
+        for position in sorted(positions):
+            surface, concept, value = self._fuzzy_surfaces[position]
             if abs(len(surface) - len(token)) > 2:
                 continue
             ratio = similarity_ratio(token, surface)
@@ -198,22 +249,24 @@ class EntityRecognizer:
                 out.setdefault(value)
         return list(out)
 
-    def whole_utterance_instance(self, utterance: str) -> tuple[str, str] | None:
+    def whole_utterance_instance(
+        self, utterance: str | Utterance
+    ) -> tuple[str, str] | None:
         """If the *entire* utterance names one instance value (any surface
         form), return (concept, canonical value) — the paper's keyword-
         style, entity-only query ("cogentin")."""
-        gram = " ".join(tokenize(utterance))
+        gram = " ".join(Utterance.parse(utterance).tokens)
         hit = self._instance_surfaces.get(gram)
         return hit if hit else None
 
-    def is_instance_of(self, utterance: str, concept: str) -> str | None:
+    def is_instance_of(self, utterance: str | Utterance, concept: str) -> str | None:
         """If the whole utterance names an instance of ``concept``, return
         the canonical value (used when answering an elicitation)."""
-        gram = " ".join(tokenize(utterance))
-        hit = self._instance_surfaces.get(gram)
+        text = Utterance.parse(utterance)
+        hit = self._instance_surfaces.get(" ".join(text.tokens))
         if hit and hit[0].lower() == concept.lower():
             return hit[1]
-        result = self.recognize(utterance)
+        result = self.recognize(text)
         return result.values.get(concept) or next(
             (
                 v

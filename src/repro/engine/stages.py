@@ -60,7 +60,8 @@ from repro.errors import (
     MissingBindingsError,
     TemplateError,
 )
-from repro.nlp.tokenizer import tokenize
+from repro.nlp.classifier import UtteranceAnalysis
+from repro.nlp.tokenizer import Utterance, tokenize
 from repro.nlq.templates import StructuredQueryTemplate
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -92,7 +93,9 @@ def domain_intent(agent: "ConversationAgent", name: str | None) -> Intent | None
 
 
 def rescue_low_confidence(
-    agent: "ConversationAgent", utterance: str, recognition: RecognitionResult
+    agent: "ConversationAgent",
+    analysis: UtteranceAnalysis,
+    recognition: RecognitionResult,
 ) -> tuple[str, float] | None:
     """Corroborate low-confidence top-k candidates with entities.
 
@@ -103,7 +106,7 @@ def rescue_low_confidence(
     """
     mentioned_concepts = {c.lower() for c in recognition.concepts}
     recognized = {c.lower() for c in recognition.values}
-    candidates = agent.classifier.top_k(utterance, k=3)
+    candidates = analysis.top_k(3)
     # Pass 1: a candidate whose *result concept* was named outranks
     # everything — "pk profile of X" names Pharmacokinetics.
     for candidate in candidates:
@@ -135,7 +138,7 @@ def rescue_low_confidence(
 
 def slot_answer(
     agent: "ConversationAgent",
-    utterance: str,
+    utterance: str | Utterance,
     recognition: RecognitionResult,
     context: "ConversationContext",
 ) -> str | None:
@@ -729,8 +732,9 @@ class Classify(AgentStage):
 
     def run(self, state: TurnState) -> AgentResponse | None:
         agent = self.agent
-        prediction = agent.classifier.classify(state.utterance)
-        state.recognition = agent.recognizer.recognize(state.utterance)
+        analysis = state.analysis = agent.classifier.analyze(state.utterance)
+        prediction = analysis.prediction
+        state.recognition = agent.recognizer.recognize(analysis.utterance)
         intent_name: str | None = prediction.intent
         confidence = prediction.confidence
         # Gibberish guard: a mostly-out-of-vocabulary utterance with no
@@ -738,7 +742,9 @@ class Classify(AgentStage):
         if (
             not state.recognition.values
             and not state.recognition.ambiguous
-            and agent.classifier.vectorizer.known_word_fraction(state.utterance)
+            and agent.classifier.vectorizer.known_word_fraction(
+                analysis.utterance
+            )
             < 0.5
         ):
             intent_name, confidence = None, 0.0
@@ -769,7 +775,7 @@ class ManagementRescue(AgentStage):
             and state.recognition.values
             and state.recognition.concepts
         ):
-            rescued = rescue_low_confidence(agent, state.utterance, state.recognition)
+            rescued = rescue_low_confidence(agent, state.analysis, state.recognition)
             if rescued is not None:
                 state.adopt(*rescued)
                 state.annotate(rescued=rescued[0])
@@ -812,7 +818,7 @@ class SlotFill(AgentStage):
         context = state.context
         if context.is_slot_filling:
             value = slot_answer(
-                self.agent, state.utterance, state.recognition, context
+                self.agent, state.analysis.utterance, state.recognition, context
             )
             if value is not None:
                 state.recognition.values[context.pending_entity] = value
@@ -869,7 +875,7 @@ class EntityRescue(AgentStage):
         if state.confidence < agent.tree.confidence_threshold and (
             state.recognition.values or state.recognition.concepts
         ):
-            rescued = rescue_low_confidence(agent, state.utterance, state.recognition)
+            rescued = rescue_low_confidence(agent, state.analysis, state.recognition)
             if rescued is not None:
                 state.adopt(*rescued)
                 state.annotate(rescued=rescued[0])
@@ -890,7 +896,9 @@ class KeywordRoute(AgentStage):
             state.confidence != CONTEXT_CONFIDENCE
             and not state.context.is_slot_filling
         ):
-            whole = agent.recognizer.whole_utterance_instance(state.utterance)
+            whole = agent.recognizer.whole_utterance_instance(
+                state.analysis.utterance
+            )
             if whole is not None:
                 concept, _value = whole
                 keyword_name = keyword_intent_name(concept)
@@ -922,7 +930,7 @@ class SlotArbitration(AgentStage):
             return None  # the classified intent can proceed — keep it
         mentioned = {c.lower() for c in state.recognition.concepts}
         recognized = {c.lower() for c in state.recognition.values}
-        for candidate in agent.classifier.top_k(state.utterance, k=3):
+        for candidate in state.analysis.top_k(3):
             if candidate.intent == state.intent:
                 continue
             other = domain_intent(agent, candidate.intent)

@@ -9,6 +9,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.errors import NLPError, NotFittedError
+from repro.nlp.tokenizer import Utterance
 from repro.nlp.vectorizer import TfidfVectorizer
 
 
@@ -96,6 +97,24 @@ class SoftmaxClassifier:
             raise NotFittedError("SoftmaxClassifier is not fitted")
         return _softmax(features @ self.weights_ + self.bias_)
 
+    def score(self, columns: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Class probabilities of one sparse row given as (column ids,
+        values) with ascending column ids, shape (n_classes,).
+
+        Gathers the weight rows and accumulates them one column at a
+        time in ascending column order — the order of SciPy's CSR
+        matrix-times-dense product — so the result is bit-identical to
+        :meth:`predict_proba` on the same row.
+        """
+        if self.weights_ is None or self.bias_ is None or self.classes_ is None:
+            raise NotFittedError("SoftmaxClassifier is not fitted")
+        if len(columns):
+            weighted = self.weights_[columns] * values[:, None]
+            logits = np.cumsum(weighted, axis=0)[-1] + self.bias_
+        else:
+            logits = np.zeros_like(self.bias_) + self.bias_
+        return _softmax(logits[None, :])[0]
+
     def predict(self, features: sparse.csr_matrix) -> list[str]:
         """Most likely class per sample."""
         probs = self.predict_proba(features)
@@ -113,6 +132,38 @@ class IntentPrediction:
     def is_confident(self, threshold: float) -> bool:
         """True when the confidence meets ``threshold``."""
         return self.confidence >= threshold
+
+
+@dataclass(frozen=True)
+class UtteranceAnalysis:
+    """One utterance analysed once for a whole turn.
+
+    Holds the tokenized :class:`~repro.nlp.tokenizer.Utterance`, its
+    TF-IDF row (ascending vocabulary column ids and values) and the
+    class probabilities.  The turn's classification, its top-k
+    candidates, entity recognition and the gibberish guard all read
+    this object instead of re-tokenizing or re-scoring the text.
+    """
+
+    utterance: Utterance
+    columns: np.ndarray
+    values: np.ndarray
+    probabilities: np.ndarray
+    classes: Sequence[str]
+
+    @property
+    def prediction(self) -> IntentPrediction:
+        """The most likely intent and its confidence."""
+        best = int(self.probabilities.argmax())
+        return IntentPrediction(self.classes[best], float(self.probabilities[best]))
+
+    def top_k(self, k: int = 3) -> list[IntentPrediction]:
+        """The ``k`` most likely intents, best first."""
+        order = np.argsort(self.probabilities)[::-1][:k]
+        return [
+            IntentPrediction(self.classes[i], float(self.probabilities[i]))
+            for i in order
+        ]
 
 
 class IntentClassifier:
@@ -156,9 +207,24 @@ class IntentClassifier:
             raise NotFittedError("IntentClassifier is not fitted")
         return list(self.model.classes_)
 
+    def analyze(self, utterance: str | Utterance) -> UtteranceAnalysis:
+        """Tokenize, featurize and score one utterance, each exactly once.
+
+        This is the per-turn entry point; it builds no sparse matrix.
+        """
+        if not self._fitted:
+            raise NotFittedError("IntentClassifier is not fitted")
+        text = Utterance.parse(utterance)
+        columns, values = self.vectorizer.featurize(text)
+        probabilities = self.model.score(columns, values)
+        assert self.model.classes_ is not None
+        return UtteranceAnalysis(
+            text, columns, values, probabilities, self.model.classes_
+        )
+
     def classify(self, utterance: str) -> IntentPrediction:
         """Classify one utterance."""
-        return self.classify_batch([utterance])[0]
+        return self.analyze(utterance).prediction
 
     def classify_batch(self, utterances: Sequence[str]) -> list[IntentPrediction]:
         """Classify many utterances at once (single matrix multiply)."""
@@ -175,12 +241,4 @@ class IntentClassifier:
 
     def top_k(self, utterance: str, k: int = 3) -> list[IntentPrediction]:
         """The ``k`` most likely intents for ``utterance``, best first."""
-        if not self._fitted:
-            raise NotFittedError("IntentClassifier is not fitted")
-        features = self.vectorizer.transform([utterance])
-        probs = self.model.predict_proba(features)[0]
-        assert self.model.classes_ is not None
-        order = np.argsort(probs)[::-1][:k]
-        return [
-            IntentPrediction(self.model.classes_[i], float(probs[i])) for i in order
-        ]
+        return self.analyze(utterance).top_k(k)

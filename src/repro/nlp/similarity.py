@@ -12,11 +12,14 @@ from __future__ import annotations
 def levenshtein(a: str, b: str, limit: int | None = None) -> int:
     """Edit distance between ``a`` and ``b`` (insert/delete/substitute = 1).
 
-    ``limit`` enables early exit: once every entry of a row exceeds it,
-    ``limit + 1`` is returned, which callers treat as "too far".
+    ``limit`` enables early exit: when the lengths alone differ by more
+    than ``limit``, or once every entry of a row exceeds it, ``limit + 1``
+    is returned, which callers treat as "too far".
     """
     if a == b:
         return 0
+    if limit is not None and abs(len(a) - len(b)) > limit:
+        return limit + 1
     if not a:
         return len(b)
     if not b:
@@ -60,20 +63,3 @@ def jaccard_similarity(a: set[str], b: set[str]) -> float:
         return 1.0
     return len(a & b) / len(union)
 
-
-def best_match(
-    needle: str,
-    candidates: list[str],
-    min_ratio: float = 0.8,
-) -> tuple[str, float] | None:
-    """Return the candidate most similar to ``needle`` above ``min_ratio``.
-
-    Comparison is case-insensitive.  Returns (candidate, ratio) or None.
-    """
-    needle_low = needle.lower()
-    best: tuple[str, float] | None = None
-    for candidate in candidates:
-        ratio = similarity_ratio(needle_low, candidate.lower())
-        if ratio >= min_ratio and (best is None or ratio > best[1]):
-            best = (candidate, ratio)
-    return best

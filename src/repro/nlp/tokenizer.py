@@ -59,6 +59,31 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(normalize(text))
 
 
+@dataclass(frozen=True, slots=True)
+class Utterance:
+    """One utterance normalized, tokenized and stemmed exactly once.
+
+    A turn builds one and shares it between the vectorizer, the
+    classifier and the entity recognizer, so no consumer re-tokenizes.
+    ``stems[i]`` is ``stem(tokens[i])``; stopwords are kept (the
+    recognizer matches surfaces such as "black box warning for ...").
+    """
+
+    text: str
+    normalized: str
+    tokens: tuple[str, ...]
+    stems: tuple[str, ...]
+
+    @classmethod
+    def parse(cls, text: str | Utterance) -> Utterance:
+        """The analysis of ``text`` (an :class:`Utterance` passes through)."""
+        if isinstance(text, Utterance):
+            return text
+        normalized = normalize(text)
+        tokens = tuple(_TOKEN_RE.findall(normalized))
+        return cls(text, normalized, tokens, tuple(stem(t) for t in tokens))
+
+
 @dataclass
 class Tokenizer:
     """Configurable tokenizer used by the vectorizer and recognizer.
@@ -75,13 +100,17 @@ class Tokenizer:
     stopwords: frozenset[str] = field(default=DEFAULT_STOPWORDS)
     use_stemming: bool = True
 
-    def __call__(self, text: str) -> list[str]:
-        tokens = [t for t in tokenize(text) if t not in self.stopwords]
-        if self.use_stemming:
-            tokens = [stem(t) for t in tokens]
-        return tokens
+    def __call__(self, text: str | Utterance) -> list[str]:
+        utterance = Utterance.parse(text)
+        words = utterance.stems if self.use_stemming else utterance.tokens
+        stopwords = self.stopwords
+        return [
+            word
+            for token, word in zip(utterance.tokens, words)
+            if token not in stopwords
+        ]
 
-    def ngrams(self, text: str, n: int) -> list[str]:
+    def ngrams(self, text: str | Utterance, n: int) -> list[str]:
         """Word n-grams over the tokenized text (joined with spaces)."""
         tokens = self(text)
         if n <= 1:

@@ -10,7 +10,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.errors import NotFittedError
-from repro.nlp.tokenizer import Tokenizer, normalize
+from repro.nlp.tokenizer import Tokenizer, Utterance
 
 
 class TfidfVectorizer:
@@ -59,30 +59,32 @@ class TfidfVectorizer:
 
     # -- feature extraction ---------------------------------------------------
 
-    def _features(self, text: str) -> Counter:
-        counts: Counter = Counter()
+    def _feature_names(self, utterance: Utterance) -> list[str]:
+        """Every feature occurrence in ``utterance``: word n-grams by
+        size, then character n-grams by size (first-occurrence order
+        fixes the summation order of the L2 norm)."""
         lo, hi = self.word_ngrams
-        for n in range(lo, hi + 1):
-            for gram in self.tokenizer.ngrams(text, n):
-                counts[f"w:{gram}"] += 1
+        names = [
+            "w:" + gram
+            for n in range(lo, hi + 1)
+            for gram in self.tokenizer.ngrams(utterance, n)
+        ]
         if self.char_ngrams is not None:
-            padded = f" {normalize(text)} "
+            padded = f" {utterance.normalized} "
             clo, chi = self.char_ngrams
             for n in range(clo, chi + 1):
-                for i in range(len(padded) - n + 1):
-                    counts[f"c:{padded[i : i + n]}"] += 1
-        return counts
+                names += [
+                    "c:" + padded[i : i + n] for i in range(len(padded) - n + 1)
+                ]
+        return names
 
     # -- fitting -------------------------------------------------------------
 
     def fit(self, documents: Sequence[str]) -> "TfidfVectorizer":
         """Learn the vocabulary and IDF weights from ``documents``."""
         doc_freq: Counter = Counter()
-        all_features: list[Counter] = []
         for doc in documents:
-            feats = self._features(doc)
-            all_features.append(feats)
-            doc_freq.update(feats.keys())
+            doc_freq.update(set(self._feature_names(Utterance.parse(doc))))
         vocabulary = {
             feature: index
             for index, feature in enumerate(
@@ -103,35 +105,55 @@ class TfidfVectorizer:
         self.fit(documents)
         return self.transform(documents)
 
+    def featurize(self, utterance: str | Utterance) -> tuple[np.ndarray, np.ndarray]:
+        """One utterance's L2-normalized TF-IDF row as (column ids, values).
+
+        Column ids come from direct vocabulary lookups and are returned
+        ascending, as a CSR row stores them; no sparse matrix is built.
+        """
+        if self.vocabulary_ is None or self.idf_ is None:
+            raise NotFittedError("TfidfVectorizer used before fit")
+        names = self._feature_names(Utterance.parse(utterance))
+        # Column id -> occurrences, in first-occurrence order.
+        counts = Counter(map(self.vocabulary_.get, names))
+        unknown = counts.pop(None, 0)
+        columns = np.fromiter(counts, dtype=np.int64, count=len(counts))
+        values = self.idf_[columns]
+        if len(names) - unknown > len(counts):
+            # Sublinear TF dampens repeated tokens in long queries.
+            tf = np.fromiter(
+                (1.0 + math.log(c) for c in counts.values()),
+                dtype=np.float64,
+                count=len(counts),
+            )
+            values = tf * values
+        # Sum the squares one by one in first-occurrence order: the norm
+        # (and so every value) is then the same on every platform and
+        # Python version (builtin sum() compensates on 3.12+).
+        norm = math.sqrt(np.cumsum(values * values)[-1]) if len(counts) else 0.0
+        if norm <= 0:
+            return columns[:0], values[:0]
+        order = np.argsort(columns)
+        return columns[order], values[order] / norm
+
     def transform(self, documents: Iterable[str]) -> sparse.csr_matrix:
         """Vectorize ``documents`` using the fitted vocabulary."""
         if self.vocabulary_ is None or self.idf_ is None:
             raise NotFittedError("TfidfVectorizer.transform called before fit")
-        indptr = [0]
-        indices: list[int] = []
-        data: list[float] = []
-        n_seen = 0
-        for doc in documents:
-            n_seen += 1
-            feats = self._features(doc)
-            row: dict[int, float] = {}
-            for feature, count in feats.items():
-                idx = self.vocabulary_.get(feature)
-                if idx is not None:
-                    # Sublinear TF dampens repeated tokens in long queries.
-                    row[idx] = (1.0 + math.log(count)) * self.idf_[idx]
-            norm = math.sqrt(sum(v * v for v in row.values()))
-            if norm > 0:
-                for idx in sorted(row):
-                    indices.append(idx)
-                    data.append(row[idx] / norm)
-            indptr.append(len(indices))
+        rows = [self.featurize(doc) for doc in documents]
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        indptr[1:] = np.cumsum([len(columns) for columns, _ in rows])
+        if rows:
+            indices = np.concatenate([columns for columns, _ in rows])
+            data = np.concatenate([values for _, values in rows])
+        else:
+            indices = np.zeros(0, dtype=np.int64)
+            data = np.zeros(0, dtype=np.float64)
         return sparse.csr_matrix(
-            (np.asarray(data), np.asarray(indices, dtype=np.int64), indptr),
-            shape=(n_seen, len(self.vocabulary_)),
+            (data, indices, indptr), shape=(len(rows), len(self.vocabulary_))
         )
 
-    def known_word_fraction(self, text: str) -> float:
+    def known_word_fraction(self, text: str | Utterance) -> float:
         """Fraction of word tokens with a known unigram feature.
 
         A cheap out-of-vocabulary detector: gibberish ("apfjhd") scores

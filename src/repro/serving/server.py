@@ -117,27 +117,36 @@ def _session_sort_key(sid: str) -> tuple:
 class _TimingClassifier:
     """Delegating classifier proxy that records classification latency.
 
-    Both entry points are proxied explicitly: ``classify_batch`` must
-    not fall through ``__getattr__`` untimed, because it is the path
-    batched callers take (and the one ``IntentClassifier.classify``
-    itself delegates to on the unwrapped object) — letting it bypass the
-    timer would silently blank ``classifier_latency_seconds`` for any
-    batching server.  Batch latency is observed per utterance so the
-    histogram stays comparable across both paths.
+    ``analyze``, ``classify`` and ``classify_batch`` are proxied
+    explicitly; none may fall through ``__getattr__`` untimed.
+    ``analyze`` is the entry point the turn pipeline's
+    classify stage calls, and ``IntentClassifier.classify`` delegates to
+    it on the unwrapped object, so timing it here counts every served
+    turn once.  ``classify_batch`` is the path batched callers take —
+    letting it bypass the timer would silently blank
+    ``classifier_latency_seconds`` for any batching server.  Batch
+    latency is observed per utterance so the histogram stays comparable
+    across the paths.
     """
 
     def __init__(self, classifier: Any, registry: MetricsRegistry) -> None:
         self._classifier = classifier
         self._registry = registry
 
-    def classify(self, utterance: str) -> Any:
+    def _timed(self, method: str, utterance: Any) -> Any:
         start = time.perf_counter()
         try:
-            return self._classifier.classify(utterance)
+            return getattr(self._classifier, method)(utterance)
         finally:
             self._registry.histogram("classifier_latency_seconds").observe(
                 time.perf_counter() - start
             )
+
+    def analyze(self, utterance: Any) -> Any:
+        return self._timed("analyze", utterance)
+
+    def classify(self, utterance: str) -> Any:
+        return self._timed("classify", utterance)
 
     def classify_batch(self, utterances: Any) -> Any:
         start = time.perf_counter()

@@ -60,3 +60,23 @@ class TestEquationOne:
         log = FeedbackLog()
         log.record(record(intent=None))
         assert "<none>" in log.per_intent()
+
+
+class TestRecordFootprint:
+    """The log keeps one record per turn for the life of the agent."""
+
+    def test_records_are_slotted(self):
+        assert not hasattr(record(), "__dict__")
+
+    def test_equal_response_texts_share_one_object(self):
+        log = FeedbackLog()
+        texts = ["".join(["Here is what ", "I found."]) for _ in range(2)]
+        assert texts[0] is not texts[1]
+        for text in texts:
+            log.record(InteractionRecord(
+                utterance="u", response=text, intent="A", confidence=0.9,
+                outcome_kind="answer",
+            ))
+        kept = log.records()
+        assert kept[0].response is kept[1].response
+        assert kept[0] == kept[1]  # values and equality unchanged

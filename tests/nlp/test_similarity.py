@@ -3,7 +3,6 @@
 import pytest
 
 from repro.nlp.similarity import (
-    best_match,
     jaccard_similarity,
     levenshtein,
     similarity_ratio,
@@ -37,6 +36,18 @@ class TestLevenshtein:
     def test_limit_not_triggered_when_close(self):
         assert levenshtein("aspirin", "asprin", limit=2) == 1
 
+    def test_limit_length_gap_returns_at_once(self):
+        # The lengths alone differ by more than the limit.
+        assert levenshtein("ab", "abcdef", limit=3) == 4
+        assert levenshtein("abcdef", "ab", limit=3) == 4
+        assert levenshtein("", "abc", limit=1) == 2
+        assert levenshtein("ab", "abcde", limit=3) == 3  # gap == limit
+
+    def test_limit_zero(self):
+        assert levenshtein("abc", "abcd", limit=0) == 1
+        assert levenshtein("abc", "abd", limit=0) == 1
+        assert levenshtein("abc", "abc", limit=0) == 0
+
 
 class TestSimilarityRatio:
     def test_identical_is_one(self):
@@ -68,21 +79,3 @@ class TestJaccard:
     def test_both_empty(self):
         assert jaccard_similarity(set(), set()) == 1.0
 
-
-class TestBestMatch:
-    CANDIDATES = ["Aspirin", "Ibuprofen", "Naproxen"]
-
-    def test_exact(self):
-        assert best_match("aspirin", self.CANDIDATES) == ("Aspirin", 1.0)
-
-    def test_fuzzy(self):
-        match = best_match("asprin", self.CANDIDATES)
-        assert match is not None
-        assert match[0] == "Aspirin"
-
-    def test_below_threshold(self):
-        assert best_match("zzzzz", self.CANDIDATES) is None
-
-    def test_picks_highest_ratio(self):
-        match = best_match("naproxin", self.CANDIDATES, min_ratio=0.5)
-        assert match[0] == "Naproxen"

@@ -12,7 +12,10 @@ Each test here pins one of the fixed defects in place:
   raw URL, so a scanner could grow registry memory without bound;
 * ``classify_batch`` falling through ``_TimingClassifier.__getattr__``
   untimed, silently blanking ``classifier_latency_seconds`` for
-  batching callers.
+  batching callers;
+* the same defect for ``analyze``, the per-turn entry point the
+  classify stage calls: every served ``/chat`` turn must observe
+  exactly one classifier latency sample.
 """
 
 from __future__ import annotations
@@ -226,3 +229,40 @@ class TestTimingClassifierBatch:
         assert histogram.count == 4
         # Non-entry-point attributes still pass through.
         assert proxy.marker == "stub"
+
+
+class TestTimingClassifierAnalyze:
+    def test_every_chat_turn_observes_one_classifier_sample(self):
+        app = ConversationApp(build_toy_agent(), max_workers=2)
+        utterances = [
+            "dosage for Aspirin", "precaution for Aspirin", "thanks",
+            "qwertyuiop zxcvb", "Aspirin",
+        ]
+        try:
+            session_id = None
+            for utterance in utterances:
+                payload = {"utterance": utterance}
+                if session_id is not None:
+                    payload["session_id"] = session_id
+                status, body = app.handle("POST", "/chat", payload)
+                assert status == 200
+                session_id = body["session_id"]
+            count = next(
+                int(float(line.split()[-1]))
+                for line in app.metrics.render().splitlines()
+                if line.startswith("repro_classifier_latency_seconds_count")
+            )
+            assert count == len(utterances)  # analyze was untimed before: 0
+        finally:
+            app.close(drain_timeout=10.0)
+
+    def test_analyze_is_proxied_explicitly(self):
+        class Stub:
+            def analyze(self, utterance):
+                return ("analysis", utterance)
+
+        registry = MetricsRegistry()
+        proxy = _TimingClassifier(Stub(), registry)
+        assert "analyze" in type(proxy).__dict__
+        assert proxy.analyze("x") == ("analysis", "x")
+        assert registry.histogram("classifier_latency_seconds").count == 1
